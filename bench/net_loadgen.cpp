@@ -948,6 +948,7 @@ main(int argc, char **argv)
                 << "\"submitted\": " << engineStats.framesSubmitted
                 << ", \"rejected\": " << engineStats.framesRejected
                 << ", \"decoded\": " << engineStats.framesDecoded
+                << ", \"inline\": " << engineStats.framesInline
                 << ", \"shed\": " << engineStats.fault.shedFrames
                 << ", \"predictions\": " << engineStats.predictions
                 << "},\n";

@@ -48,6 +48,7 @@ Router::Router(RouterConfig config)
 {
     // `config` was moved; rebuild the ring config from `cfg`.
     ring = HashRing(HashRingConfig{cfg.virtualNodes, cfg.ringSeed});
+    readBuf.resize(cfg.readChunkBytes);
 
     // Eager registration: every cluster.* instrument exists at zero
     // from construction, so a metrics scrape never misses a counter
@@ -363,17 +364,16 @@ Router::acceptPending()
 bool
 Router::handleClientReadable(ClientConn &conn)
 {
-    std::vector<std::uint8_t> chunk(cfg.readChunkBytes);
     for (;;) {
         const ssize_t got =
-            ::read(conn.fd.get(), chunk.data(), chunk.size());
+            ::read(conn.fd.get(), readBuf.data(), readBuf.size());
         if (got > 0) {
-            conn.in.insert(conn.in.end(), chunk.data(),
-                           chunk.data() +
+            conn.in.insert(conn.in.end(), readBuf.data(),
+                           readBuf.data() +
                                static_cast<std::size_t>(got));
             if (conn.in.size() > cfg.maxInBufferBytes)
                 return false; // garbage or hostile lengths
-            if (static_cast<std::size_t>(got) < chunk.size())
+            if (static_cast<std::size_t>(got) < readBuf.size())
                 break;
             continue;
         }

@@ -508,6 +508,8 @@ class Router
 
     // Router-thread-owned state.
     std::unordered_map<std::uint64_t, ClientConn> conns;
+    /** Client socket read buffer, reused for every read. */
+    std::vector<std::uint8_t> readBuf;
     std::vector<std::unique_ptr<Backend>> backends;
     std::unordered_map<std::uint64_t, SessionRoute> routes;
 

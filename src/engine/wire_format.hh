@@ -261,7 +261,8 @@ void appendSessionStateFrame(std::vector<std::uint8_t> &out,
 /**
  * Encode a whole event stream as consecutive frames (sequence 0..n)
  * of at most `frame_events` events each. This is the one on-disk /
- * on-wire event encoding; workload/stream_io delegates to it.
+ * on-wire event encoding; workload/stream_io delegates to it. The
+ * buffer is sized exactly once, so encoding is linear in the stream.
  */
 std::vector<std::uint8_t>
 encodeEventStream(const std::vector<PathEvent> &stream,

@@ -62,6 +62,7 @@ goldenInstruments()
         "engine.queue.highwater",
         "engine.queue.depth",
         "engine.batch.size",
+        "engine.frames.inline",
         // Per-shard contention instruments (normalized index).
         "engine.shard.N.frames",
         "engine.shard.N.queue.depth",
