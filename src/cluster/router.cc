@@ -12,13 +12,11 @@
 
 #include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <sstream>
 #include <thread>
 
 #include "engine/wire_format.hh"
 #include "support/logging.hh"
-#include "telemetry/exposition.hh"
 #include "telemetry/telemetry.hh"
 
 namespace hotpath::cluster
@@ -44,44 +42,14 @@ struct PollTarget
 
 Router::Router(RouterConfig config)
     : cfg(std::move(config)),
-      ring(HashRingConfig{config.virtualNodes, config.ringSeed})
+      ring(HashRingConfig{cfg.virtualNodes, cfg.ringSeed}),
+      admin({{"/stats", "application/json",
+              [this] { return statsJson(); }},
+             {"/topology", "application/json",
+              [this] { return topologyJson(); }}},
+            draining)
 {
-    // `config` was moved; rebuild the ring config from `cfg`.
-    ring = HashRing(HashRingConfig{cfg.virtualNodes, cfg.ringSeed});
     readBuf.resize(cfg.readChunkBytes);
-
-    // Eager registration: every cluster.* instrument exists at zero
-    // from construction, so a metrics scrape never misses a counter
-    // that simply has not fired yet (the observability audit holds
-    // the router to the same discipline as the engine and server).
-    tmAccepted = telemetry::counter("cluster.connections.accepted");
-    tmClosed = telemetry::counter("cluster.connections.closed");
-    tmFramesIn = telemetry::counter("cluster.frames.in");
-    tmFramesRouted = telemetry::counter("cluster.frames.routed");
-    tmFramesReplayed = telemetry::counter("cluster.frames.replayed");
-    tmMigrationFrames =
-        telemetry::counter("cluster.migration.frames");
-    tmMigrationBytes = telemetry::counter("cluster.migration.bytes");
-    tmResponsesOut = telemetry::counter("cluster.responses.out");
-    tmResponsesSynthesized =
-        telemetry::counter("cluster.responses.synthesized");
-    tmResponsesDropped =
-        telemetry::counter("cluster.responses.dropped");
-    tmResynced = telemetry::counter("cluster.frames.resynced");
-    tmResyncBytes =
-        telemetry::counter("cluster.resync.bytes.skipped");
-    tmRehashes = telemetry::counter("cluster.rehash.events");
-    tmWeightUpdates = telemetry::counter("cluster.weight.updates");
-    tmSessionsMigrated =
-        telemetry::counter("cluster.sessions.migrated");
-    tmBackendReconnects =
-        telemetry::counter("cluster.backend.reconnects");
-    tmFailovers = telemetry::counter("cluster.failovers");
-    tmActive = telemetry::gauge("cluster.connections.active");
-    tmBackendsLive = telemetry::gauge("cluster.backends.live");
-    tmInFlightTotal = telemetry::gauge("cluster.backend.inflight");
-    tmParked = telemetry::gauge("cluster.frames.parked");
-
     for (const BackendAddress &address : cfg.backends) {
         const std::uint64_t id = nextBackendId++;
         backends.push_back(makeBackendLocked(id, address));
@@ -99,6 +67,16 @@ Router::makeBackendLocked(std::uint64_t id,
     auto backend = std::make_unique<Backend>();
     backend->id = id;
     backend->address = address;
+    backend->client = makeClient(id, address);
+    backend->tmInFlight = telemetry::gauge(
+        "cluster.backend." + std::to_string(id) + ".inflight");
+    return backend;
+}
+
+std::unique_ptr<net::Client>
+Router::makeClient(std::uint64_t id,
+                   const BackendAddress &address) const
+{
     net::ClientConfig cc;
     cc.host = address.host;
     cc.port = address.port;
@@ -108,10 +86,7 @@ Router::makeBackendLocked(std::uint64_t id,
     // Distinct jitter stream per backend so a fleet-wide reconnect
     // storm (every backend restarted at once) spreads apart.
     cc.retryJitterSeed = cfg.retryJitterSeed ^ id;
-    backend->client = std::make_unique<net::Client>(cc);
-    backend->tmInFlight = telemetry::gauge(
-        "cluster.backend." + std::to_string(id) + ".inflight");
-    return backend;
+    return std::make_unique<net::Client>(cc);
 }
 
 bool
@@ -131,17 +106,13 @@ Router::start()
         listener.reset();
         return false;
     }
-    if (cfg.adminPort >= 0) {
-        adminListener = net::listenTcp(
-            cfg.bindAddress,
-            static_cast<std::uint16_t>(cfg.adminPort),
-            &boundAdminPort);
-        if (!adminListener.valid()) {
-            warn("cluster: admin bind failed");
-            listener.reset();
-            wakeup.reset();
-            return false;
-        }
+    if (cfg.adminPort >= 0 &&
+        !admin.listen(cfg.bindAddress,
+                      static_cast<std::uint16_t>(cfg.adminPort))) {
+        warn("cluster: admin bind failed");
+        listener.reset();
+        wakeup.reset();
+        return false;
     }
 
     for (auto &backend : backends) {
@@ -159,8 +130,7 @@ Router::start()
     started.store(true);
     publishTopology();
     routerThread = std::thread([this] { routerLoop(); });
-    if (adminListener.valid())
-        adminThread = std::thread([this] { adminLoop(); });
+    admin.start(cfg.tickMs);
     return true;
 }
 
@@ -352,12 +322,8 @@ Router::acceptPending()
         client.fd = std::move(conn);
         client.id = id;
         conns.emplace(id, std::move(client));
-        nAccepted.fetch_add(1, std::memory_order_relaxed);
-        if (tmAccepted)
-            tmAccepted->add(1);
-        nActive.fetch_add(1, std::memory_order_relaxed);
-        if (tmActive)
-            tmActive->add(1);
+        accepted.add();
+        active.add(1);
     }
 }
 
@@ -401,9 +367,7 @@ Router::processClientInput(ClientConn &conn)
             conn.in.data(), conn.in.size(), offset, header,
             frame_end);
         if (status == wire::DecodeStatus::Ok) {
-            nFramesIn.fetch_add(1, std::memory_order_relaxed);
-            if (tmFramesIn)
-                tmFramesIn->add(1);
+            framesIn.add();
             std::vector<std::uint8_t> frame(
                 conn.in.begin() +
                     static_cast<std::ptrdiff_t>(offset),
@@ -420,14 +384,8 @@ Router::processClientInput(ClientConn &conn)
         bool complete = false;
         const std::size_t next = wire::findFrameBoundary(
             conn.in.data(), conn.in.size(), offset + 1, &complete);
-        nResynced.fetch_add(1, std::memory_order_relaxed);
-        if (tmResynced)
-            tmResynced->add(1);
-        nResyncBytes.fetch_add(next - offset,
-                               std::memory_order_relaxed);
-        if (tmResyncBytes)
-            tmResyncBytes->add(
-                static_cast<std::int64_t>(next - offset));
+        resynced.add();
+        resyncBytes.add(next - offset);
         offset = next;
         if (!complete)
             break;
@@ -493,9 +451,7 @@ Router::routeFrame(const wire::FrameHeader &header,
     HOTPATH_ASSERT(backend != nullptr,
                    "route owner is not a known backend");
     bumpClientInFlight(client_conn, 1);
-    nFramesRouted.fetch_add(1, std::memory_order_relaxed);
-    if (tmFramesRouted)
-        tmFramesRouted->add(1);
+    framesRouted.add();
     sendToBackend(*backend, session, std::move(entry));
 }
 
@@ -592,16 +548,12 @@ Router::forwardReply(std::uint64_t client_conn,
     bumpClientInFlight(client_conn, -1);
     auto it = conns.find(client_conn);
     if (it == conns.end()) {
-        nResponsesDropped.fetch_add(1, std::memory_order_relaxed);
-        if (tmResponsesDropped)
-            tmResponsesDropped->add(1);
+        responsesDropped.add();
         return;
     }
     ClientConn &conn = it->second;
     if (conn.out.size() - conn.outOff > cfg.maxOutBufferBytes) {
-        nResponsesDropped.fetch_add(1, std::memory_order_relaxed);
-        if (tmResponsesDropped)
-            tmResponsesDropped->add(1);
+        responsesDropped.add();
         return;
     }
     if (reply.isState)
@@ -612,9 +564,7 @@ Router::forwardReply(std::uint64_t client_conn,
                                     reply.sequence,
                                     reply.predictions.data(),
                                     reply.predictions.size());
-    nResponsesOut.fetch_add(1, std::memory_order_relaxed);
-    if (tmResponsesOut)
-        tmResponsesOut->add(1);
+    responsesOut.add();
     flushClient(conn);
 }
 
@@ -625,17 +575,13 @@ Router::synthesizeReply(std::uint64_t session,
 {
     auto it = conns.find(client_conn);
     if (it == conns.end()) {
-        nResponsesDropped.fetch_add(1, std::memory_order_relaxed);
-        if (tmResponsesDropped)
-            tmResponsesDropped->add(1);
+        responsesDropped.add();
         return;
     }
     ClientConn &conn = it->second;
     wire::appendPredictionFrame(conn.out, session, sequence, nullptr,
                                 0);
-    nResponsesSynthesized.fetch_add(1, std::memory_order_relaxed);
-    if (tmResponsesSynthesized)
-        tmResponsesSynthesized->add(1);
+    responsesSynthesized.add();
     flushClient(conn);
 }
 
@@ -667,12 +613,8 @@ Router::closeClient(std::uint64_t conn_id)
     if (it == conns.end())
         return;
     conns.erase(it);
-    nClosed.fetch_add(1, std::memory_order_relaxed);
-    if (tmClosed)
-        tmClosed->add(1);
-    nActive.fetch_sub(1, std::memory_order_relaxed);
-    if (tmActive)
-        tmActive->add(-1);
+    closed.add();
+    active.add(-1);
 }
 
 // Failure handling -----------------------------------------------
@@ -684,19 +626,10 @@ Router::handleBackendBroken(Backend &backend)
     // A fresh client: the old reassembly buffer may hold a torn
     // reply from the dead connection and must not leak into the new
     // stream.
-    net::ClientConfig cc;
-    cc.host = backend.address.host;
-    cc.port = backend.address.port;
-    cc.connectAttempts = cfg.connectAttempts;
-    cc.retryBaseMs = cfg.retryBaseMs;
-    cc.retryMaxExponent = cfg.retryMaxExponent;
-    cc.retryJitterSeed = cfg.retryJitterSeed ^ backend.id;
-    backend.client = std::make_unique<net::Client>(cc);
+    backend.client = makeClient(backend.id, backend.address);
     if (backend.client->connect()) {
         backend.alive = true;
-        nBackendReconnects.fetch_add(1, std::memory_order_relaxed);
-        if (tmBackendReconnects)
-            tmBackendReconnects->add(1);
+        backendReconnects.add();
         replayToSelf(backend);
         return;
     }
@@ -718,9 +651,7 @@ Router::replayToSelf(Backend &backend)
                 backend.needsRecovery = true;
                 return;
             }
-            nFramesReplayed.fetch_add(1, std::memory_order_relaxed);
-            if (tmFramesReplayed)
-                tmFramesReplayed->add(1);
+            framesReplayed.add();
         }
     }
 }
@@ -731,12 +662,8 @@ Router::failover(Backend &backend)
     backend.dead = true;
     backend.alive = false;
     ring.removeNode(backend.id);
-    nFailovers.fetch_add(1, std::memory_order_relaxed);
-    if (tmFailovers)
-        tmFailovers->add(1);
-    nRehashes.fetch_add(1, std::memory_order_relaxed);
-    if (tmRehashes)
-        tmRehashes->add(1);
+    failovers.add();
+    rehashes.add();
 
     // Rehash the dead backend's sessions. There is nobody left to
     // export from, so these sessions lose their predictor history -
@@ -796,10 +723,7 @@ Router::redistributeLedger(Backend &backend)
                     unparkSession(session, rit->second);
                     break;
                 }
-                nFramesReplayed.fetch_add(
-                    1, std::memory_order_relaxed);
-                if (tmFramesReplayed)
-                    tmFramesReplayed->add(1);
+                framesReplayed.add();
                 sendToBackend(*target, session, std::move(entry));
                 break;
             }
@@ -815,10 +739,7 @@ Router::redistributeLedger(Backend &backend)
                                      entry.clientConn);
                     break;
                 }
-                nFramesReplayed.fetch_add(
-                    1, std::memory_order_relaxed);
-                if (tmFramesReplayed)
-                    tmFramesReplayed->add(1);
+                framesReplayed.add();
                 sendToBackend(*target, session, std::move(entry));
                 break;
             }
@@ -891,9 +812,7 @@ Router::startMigration(std::uint64_t session, SessionRoute &route,
     entry.phase = Pending::Phase::Export;
     wire::appendSessionStateFrame(entry.bytes, session,
                                   entry.sequence, request);
-    nMigrationFrames.fetch_add(1, std::memory_order_relaxed);
-    if (tmMigrationFrames)
-        tmMigrationFrames->add(1);
+    migrationFrames.add();
     sendToBackend(*old, session, std::move(entry));
 }
 
@@ -922,14 +841,8 @@ Router::handleExportReply(const net::PredictionReply &reply)
     entry.phase = Pending::Phase::Import;
     wire::appendSessionStateFrame(entry.bytes, session,
                                   entry.sequence, reply.state);
-    nMigrationFrames.fetch_add(1, std::memory_order_relaxed);
-    if (tmMigrationFrames)
-        tmMigrationFrames->add(1);
-    nMigrationBytes.fetch_add(entry.bytes.size(),
-                              std::memory_order_relaxed);
-    if (tmMigrationBytes)
-        tmMigrationBytes->add(
-            static_cast<std::int64_t>(entry.bytes.size()));
+    migrationFrames.add();
+    migrationBytes.add(entry.bytes.size());
     sendToBackend(*target, session, std::move(entry));
 }
 
@@ -942,9 +855,7 @@ Router::finishMigration(std::uint64_t session)
     SessionRoute &route = rit->second;
     route.owner = route.pendingOwner;
     route.migrating = false;
-    nSessionsMigrated.fetch_add(1, std::memory_order_relaxed);
-    if (tmSessionsMigrated)
-        tmSessionsMigrated->add(1);
+    sessionsMigrated.add();
     if (!ring.empty() && !ring.contains(route.owner)) {
         // The destination left the ring while the import was in
         // flight (chained topology change): move again.
@@ -967,9 +878,7 @@ Router::unparkSession(std::uint64_t session, SessionRoute &route)
                              entry.clientConn);
             continue;
         }
-        nFramesRouted.fetch_add(1, std::memory_order_relaxed);
-        if (tmFramesRouted)
-            tmFramesRouted->add(1);
+        framesRouted.add();
         sendToBackend(*target, session, std::move(entry));
     }
 }
@@ -1030,9 +939,7 @@ Router::executeCommand(const Command &command)
         if (raw->client->connect()) {
             raw->alive = true;
             ring.addNode(raw->id);
-            nRehashes.fetch_add(1, std::memory_order_relaxed);
-            if (tmRehashes)
-                tmRehashes->add(1);
+            rehashes.add();
             rehashSessions();
         } else {
             warn("cluster: addBackend connect failed");
@@ -1048,9 +955,7 @@ Router::executeCommand(const Command &command)
             break;
         ring.removeNode(backend->id);
         backend->retiring = true;
-        nRehashes.fetch_add(1, std::memory_order_relaxed);
-        if (tmRehashes)
-            tmRehashes->add(1);
+        rehashes.add();
         rehashSessions();
         publishTopology();
         break;
@@ -1074,14 +979,10 @@ Router::executeCommand(const Command &command)
                 continue;
             ring.setNodeWeight(id, points);
             changed = true;
-            nWeightUpdates.fetch_add(1, std::memory_order_relaxed);
-            if (tmWeightUpdates)
-                tmWeightUpdates->add(1);
+            weightUpdates.add();
         }
         if (changed) {
-            nRehashes.fetch_add(1, std::memory_order_relaxed);
-            if (tmRehashes)
-                tmRehashes->add(1);
+            rehashes.add();
             rehashSessions();
             publishTopology();
         }
@@ -1109,17 +1010,10 @@ Router::refreshDerived()
     for (const auto &[session, route] : routes)
         parked += route.parked.size();
 
-    nInFlight.store(inflight, std::memory_order_relaxed);
-    nParked.store(parked, std::memory_order_relaxed);
-    nBackendsLive.store(live, std::memory_order_relaxed);
-    nSessionsTracked.store(routes.size(),
-                           std::memory_order_relaxed);
-    if (tmInFlightTotal)
-        tmInFlightTotal->set(static_cast<std::int64_t>(inflight));
-    if (tmParked)
-        tmParked->set(static_cast<std::int64_t>(parked));
-    if (tmBackendsLive)
-        tmBackendsLive->set(static_cast<std::int64_t>(live));
+    inFlightTotal.set(static_cast<std::int64_t>(inflight));
+    parkedFrames.set(static_cast<std::int64_t>(parked));
+    backendsLive.set(static_cast<std::int64_t>(live));
+    sessionsTracked.set(static_cast<std::int64_t>(routes.size()));
 
     bool flushed = true;
     for (const auto &[id, conn] : conns) {
@@ -1204,15 +1098,20 @@ Router::stop()
     wakeRouter();
     if (routerThread.joinable())
         routerThread.join();
-    if (adminThread.joinable())
-        adminThread.join();
+    admin.stop();
+    // Connections still open at stop() close here, so the ledger
+    // (closed == accepted) and the active gauge both settle.
+    const std::uint64_t open = conns.size();
     conns.clear();
+    if (open > 0) {
+        closed.add(open);
+        active.add(-static_cast<std::int64_t>(open));
+    }
     for (auto &backend : backends) {
         backend->client->close();
         backend->alive = false;
     }
     listener.reset();
-    adminListener.reset();
     wakeup.reset();
     started.store(false);
 }
@@ -1223,42 +1122,29 @@ RouterStats
 Router::stats() const
 {
     RouterStats out;
-    out.accepted = nAccepted.load(std::memory_order_relaxed);
-    out.closed = nClosed.load(std::memory_order_relaxed);
-    out.framesIn = nFramesIn.load(std::memory_order_relaxed);
-    out.framesRouted = nFramesRouted.load(std::memory_order_relaxed);
-    out.framesReplayed =
-        nFramesReplayed.load(std::memory_order_relaxed);
-    out.migrationFrames =
-        nMigrationFrames.load(std::memory_order_relaxed);
-    out.migrationBytes =
-        nMigrationBytes.load(std::memory_order_relaxed);
-    out.responsesOut = nResponsesOut.load(std::memory_order_relaxed);
-    out.responsesSynthesized =
-        nResponsesSynthesized.load(std::memory_order_relaxed);
-    out.responsesDropped =
-        nResponsesDropped.load(std::memory_order_relaxed);
-    out.framesResynced = nResynced.load(std::memory_order_relaxed);
-    out.resyncBytesSkipped =
-        nResyncBytes.load(std::memory_order_relaxed);
-    out.rehashes = nRehashes.load(std::memory_order_relaxed);
-    out.weightUpdates =
-        nWeightUpdates.load(std::memory_order_relaxed);
-    out.sessionsMigrated =
-        nSessionsMigrated.load(std::memory_order_relaxed);
-    out.backendReconnects =
-        nBackendReconnects.load(std::memory_order_relaxed);
-    out.failovers = nFailovers.load(std::memory_order_relaxed);
-    out.activeConnections = static_cast<std::size_t>(
-        nActive.load(std::memory_order_relaxed));
-    out.backendsLive = static_cast<std::size_t>(
-        nBackendsLive.load(std::memory_order_relaxed));
-    out.inFlightTotal = static_cast<std::size_t>(
-        nInFlight.load(std::memory_order_relaxed));
-    out.sessionsTracked = static_cast<std::size_t>(
-        nSessionsTracked.load(std::memory_order_relaxed));
-    out.parkedFrames = static_cast<std::size_t>(
-        nParked.load(std::memory_order_relaxed));
+    out.accepted = accepted.get();
+    out.closed = closed.get();
+    out.framesIn = framesIn.get();
+    out.framesRouted = framesRouted.get();
+    out.framesReplayed = framesReplayed.get();
+    out.migrationFrames = migrationFrames.get();
+    out.migrationBytes = migrationBytes.get();
+    out.responsesOut = responsesOut.get();
+    out.responsesSynthesized = responsesSynthesized.get();
+    out.responsesDropped = responsesDropped.get();
+    out.framesResynced = resynced.get();
+    out.resyncBytesSkipped = resyncBytes.get();
+    out.rehashes = rehashes.get();
+    out.weightUpdates = weightUpdates.get();
+    out.sessionsMigrated = sessionsMigrated.get();
+    out.backendReconnects = backendReconnects.get();
+    out.failovers = failovers.get();
+    out.activeConnections = static_cast<std::size_t>(active.get());
+    out.backendsLive = static_cast<std::size_t>(backendsLive.get());
+    out.inFlightTotal = static_cast<std::size_t>(inFlightTotal.get());
+    out.sessionsTracked =
+        static_cast<std::size_t>(sessionsTracked.get());
+    out.parkedFrames = static_cast<std::size_t>(parkedFrames.get());
     return out;
 }
 
@@ -1357,139 +1243,6 @@ Router::topologyJson() const
     }
     os << "]}";
     return os.str();
-}
-
-std::string
-Router::adminResponse(const std::string &path, int &status) const
-{
-    if (path == "/healthz") {
-        if (draining.load(std::memory_order_relaxed)) {
-            status = 503;
-            return "draining\n";
-        }
-        status = 200;
-        return "ok\n";
-    }
-    if (path == "/metrics") {
-        status = 200;
-        std::ostringstream os;
-        if (telemetry::MetricRegistry *registry =
-                telemetry::attachedRegistry())
-            telemetry::writePrometheus(os, registry->snapshot());
-        else
-            os << "# telemetry registry not attached\n";
-        return os.str();
-    }
-    if (path == "/topology") {
-        status = 200;
-        return topologyJson();
-    }
-    if (path == "/stats") {
-        status = 200;
-        return statsJson();
-    }
-    status = 404;
-    return "not found\n";
-}
-
-void
-Router::serveAdminRequest(net::Fd &conn)
-{
-    using Clock = std::chrono::steady_clock;
-    // Bounded request read; one request at a time is the whole
-    // concurrency model (same discipline as the server's admin
-    // plane).
-    std::string request;
-    char buf[1024];
-    const auto readDeadline =
-        Clock::now() + std::chrono::milliseconds(250);
-    while (request.find('\n') == std::string::npos &&
-           request.size() < 4096 && Clock::now() < readDeadline) {
-        pollfd pfd{conn.get(), POLLIN, 0};
-        if (::poll(&pfd, 1, 50) <= 0)
-            continue;
-        const ssize_t got = ::read(conn.get(), buf, sizeof(buf));
-        if (got > 0) {
-            request.append(buf, static_cast<std::size_t>(got));
-            continue;
-        }
-        if (got == 0)
-            break;
-        if (errno == EINTR || errno == EAGAIN ||
-            errno == EWOULDBLOCK)
-            continue;
-        return;
-    }
-
-    int status = 400;
-    std::string body = "bad request\n";
-    std::string path;
-    if (request.rfind("GET ", 0) == 0) {
-        const std::size_t end = request.find_first_of(" \r\n", 4);
-        if (end != std::string::npos && end > 4) {
-            path = request.substr(4, end - 4);
-            body = adminResponse(path, status);
-        }
-    }
-
-    const char *reason = status == 200  ? "OK"
-                         : status == 404 ? "Not Found"
-                         : status == 503 ? "Service Unavailable"
-                                         : "Bad Request";
-    const char *contentType =
-        path == "/stats" || path == "/topology"
-            ? "application/json"
-        : path == "/metrics"
-            ? "text/plain; version=0.0.4; charset=utf-8"
-            : "text/plain; charset=utf-8";
-    std::ostringstream os;
-    os << "HTTP/1.0 " << status << ' ' << reason << "\r\n"
-       << "Content-Type: " << contentType << "\r\n"
-       << "Content-Length: " << body.size() << "\r\n"
-       << "Connection: close\r\n\r\n"
-       << body;
-    const std::string response = os.str();
-
-    std::size_t off = 0;
-    const auto writeDeadline =
-        Clock::now() + std::chrono::milliseconds(500);
-    while (off < response.size() && Clock::now() < writeDeadline) {
-        const ssize_t wrote = ::send(
-            conn.get(), response.data() + off, response.size() - off,
-            MSG_NOSIGNAL);
-        if (wrote > 0) {
-            off += static_cast<std::size_t>(wrote);
-            continue;
-        }
-        if (wrote < 0 &&
-            (errno == EAGAIN || errno == EWOULDBLOCK)) {
-            pollfd pfd{conn.get(), POLLOUT, 0};
-            ::poll(&pfd, 1, 50);
-            continue;
-        }
-        if (wrote < 0 && errno == EINTR)
-            continue;
-        break;
-    }
-}
-
-void
-Router::adminLoop()
-{
-    // Keeps serving during drain() - /healthz flipping to 503 is the
-    // point - and exits on stop().
-    while (!stopping.load()) {
-        pollfd pfd{adminListener.get(), POLLIN, 0};
-        const int ready =
-            ::poll(&pfd, 1, static_cast<int>(cfg.tickMs));
-        if (ready <= 0)
-            continue;
-        net::Fd conn(::accept4(adminListener.get(), nullptr, nullptr,
-                          SOCK_NONBLOCK));
-        if (!conn.valid())
-            continue;
-        serveAdminRequest(conn);
-    }
 }
 
 } // namespace hotpath::cluster

@@ -60,17 +60,13 @@
 #include <vector>
 
 #include "cluster/hash_ring.hh"
+#include "net/admin_endpoint.hh"
 #include "net/client.hh"
 #include "net/socket.hh"
+#include "telemetry/stat.hh"
 
 namespace hotpath
 {
-
-namespace telemetry
-{
-class Counter;
-class Gauge;
-} // namespace telemetry
 
 namespace cluster
 {
@@ -143,9 +139,9 @@ struct RouterConfig
     /**
      * Admin (introspection) HTTP listener port: -1 disables it, 0
      * binds an ephemeral port (read it back with
-     * Router::adminPort()). Serves plain HTTP/1.0 GETs: /metrics
-     * (Prometheus text), /healthz (drain state), /topology (the
-     * ring: backends, liveness, in-flight, owned sessions) and
+     * Router::adminPort()). A net::AdminEndpoint serves GETs of
+     * /metrics (Prometheus text), /healthz (drain state), /topology
+     * (the ring: backends, liveness, in-flight, owned sessions) and
      * /stats (flat JSON consumed by examples/engine_top).
      */
     int adminPort = -1;
@@ -253,7 +249,7 @@ class Router
 
     /** The bound admin port (valid after start() when
      *  RouterConfig::adminPort >= 0; otherwise 0). */
-    std::uint16_t adminPort() const { return boundAdminPort; }
+    std::uint16_t adminPort() const { return admin.port(); }
 
     /**
      * Add a backend to the fleet (asynchronous: posts a command to
@@ -398,6 +394,9 @@ class Router
     std::unique_ptr<Backend>
     makeBackendLocked(std::uint64_t id,
                       const BackendAddress &address);
+    /** A fresh, unconnected client for backend `id` at `address`. */
+    std::unique_ptr<net::Client>
+    makeClient(std::uint64_t id, const BackendAddress &address) const;
     /** The backend with `id`, or nullptr. */
     Backend *findBackend(std::uint64_t id);
     void routerLoop();
@@ -474,11 +473,6 @@ class Router
     void refreshDerived();
     /** Refresh the locked topology snapshot (router thread only). */
     void publishTopology();
-    void adminLoop();
-    void serveAdminRequest(net::Fd &conn);
-    /** Response body + status for an admin request path. */
-    std::string adminResponse(const std::string &path,
-                              int &status) const;
     /** The /stats document: flat JSON (scalars and flat numeric
      *  arrays only; engine_top scans it without a JSON parser). */
     std::string statsJson() const;
@@ -489,11 +483,8 @@ class Router
     HashRing ring;
     net::Fd listener;
     std::uint16_t boundPort = 0;
-    net::Fd adminListener;
-    std::uint16_t boundAdminPort = 0;
     net::Fd wakeup; ///< eventfd: command queue + stop/drain nudges
     std::thread routerThread;
-    std::thread adminThread;
     std::atomic<bool> stopping{false};
     std::atomic<bool> draining{false};
     std::atomic<bool> started{false};
@@ -520,52 +511,38 @@ class Router
     mutable std::mutex topoMu;
     std::vector<BackendSnapshot> topoSnapshot;
 
-    // Aggregates (relaxed atomics, read by stats()).
-    std::atomic<std::uint64_t> nAccepted{0};
-    std::atomic<std::uint64_t> nClosed{0};
-    std::atomic<std::uint64_t> nFramesIn{0};
-    std::atomic<std::uint64_t> nFramesRouted{0};
-    std::atomic<std::uint64_t> nFramesReplayed{0};
-    std::atomic<std::uint64_t> nMigrationFrames{0};
-    std::atomic<std::uint64_t> nMigrationBytes{0};
-    std::atomic<std::uint64_t> nResponsesOut{0};
-    std::atomic<std::uint64_t> nResponsesSynthesized{0};
-    std::atomic<std::uint64_t> nResponsesDropped{0};
-    std::atomic<std::uint64_t> nResynced{0};
-    std::atomic<std::uint64_t> nResyncBytes{0};
-    std::atomic<std::uint64_t> nRehashes{0};
-    std::atomic<std::uint64_t> nWeightUpdates{0};
-    std::atomic<std::uint64_t> nSessionsMigrated{0};
-    std::atomic<std::uint64_t> nBackendReconnects{0};
-    std::atomic<std::uint64_t> nFailovers{0};
-    std::atomic<std::uint64_t> nActive{0};
-    std::atomic<std::uint64_t> nBackendsLive{0};
-    std::atomic<std::uint64_t> nInFlight{0};
-    std::atomic<std::uint64_t> nSessionsTracked{0};
-    std::atomic<std::uint64_t> nParked{0};
+    // Routing stats (read by stats()); a named stat also bumps the
+    // cluster.* instrument of that name (telemetry/stat.hh).
+    telemetry::CounterStat accepted{"cluster.connections.accepted"};
+    telemetry::CounterStat closed{"cluster.connections.closed"};
+    telemetry::CounterStat framesIn{"cluster.frames.in"};
+    telemetry::CounterStat framesRouted{"cluster.frames.routed"};
+    telemetry::CounterStat framesReplayed{"cluster.frames.replayed"};
+    telemetry::CounterStat migrationFrames{"cluster.migration.frames"};
+    telemetry::CounterStat migrationBytes{"cluster.migration.bytes"};
+    telemetry::CounterStat responsesOut{"cluster.responses.out"};
+    telemetry::CounterStat responsesSynthesized{
+        "cluster.responses.synthesized"};
+    telemetry::CounterStat responsesDropped{"cluster.responses.dropped"};
+    telemetry::CounterStat resynced{"cluster.frames.resynced"};
+    telemetry::CounterStat resyncBytes{"cluster.resync.bytes.skipped"};
+    telemetry::CounterStat rehashes{"cluster.rehash.events"};
+    telemetry::CounterStat weightUpdates{"cluster.weight.updates"};
+    telemetry::CounterStat sessionsMigrated{"cluster.sessions.migrated"};
+    telemetry::CounterStat backendReconnects{
+        "cluster.backend.reconnects"};
+    telemetry::CounterStat failovers{"cluster.failovers"};
+    telemetry::GaugeStat active{"cluster.connections.active"};
+    // Derived levels, published once per router pass.
+    telemetry::GaugeStat backendsLive{"cluster.backends.live"};
+    telemetry::GaugeStat inFlightTotal{"cluster.backend.inflight"};
+    telemetry::GaugeStat parkedFrames{"cluster.frames.parked"};
+    telemetry::GaugeStat sessionsTracked;
 
-    // Telemetry handles; nullptr when telemetry is not attached.
-    telemetry::Counter *tmAccepted = nullptr;
-    telemetry::Counter *tmClosed = nullptr;
-    telemetry::Counter *tmFramesIn = nullptr;
-    telemetry::Counter *tmFramesRouted = nullptr;
-    telemetry::Counter *tmFramesReplayed = nullptr;
-    telemetry::Counter *tmMigrationFrames = nullptr;
-    telemetry::Counter *tmMigrationBytes = nullptr;
-    telemetry::Counter *tmResponsesOut = nullptr;
-    telemetry::Counter *tmResponsesSynthesized = nullptr;
-    telemetry::Counter *tmResponsesDropped = nullptr;
-    telemetry::Counter *tmResynced = nullptr;
-    telemetry::Counter *tmResyncBytes = nullptr;
-    telemetry::Counter *tmRehashes = nullptr;
-    telemetry::Counter *tmWeightUpdates = nullptr;
-    telemetry::Counter *tmSessionsMigrated = nullptr;
-    telemetry::Counter *tmBackendReconnects = nullptr;
-    telemetry::Counter *tmFailovers = nullptr;
-    telemetry::Gauge *tmActive = nullptr;
-    telemetry::Gauge *tmBackendsLive = nullptr;
-    telemetry::Gauge *tmInFlightTotal = nullptr;
-    telemetry::Gauge *tmParked = nullptr;
+    /** /metrics, /healthz, /stats and /topology
+     *  (RouterConfig::adminPort). Declared last: its thread reads the
+     *  members above. */
+    net::AdminEndpoint admin;
 };
 
 } // namespace cluster

@@ -22,18 +22,11 @@ Controller::Controller(engine::Engine &eng, ControllerConfig config)
     if (cfg.queueCapacityFrames == 0)
         cfg.queueCapacityFrames = 1;
 
-    tmEpochs = telemetry::counter("control.epochs");
-    tmDecisions = telemetry::counter("control.decisions");
     tmRetunes = telemetry::counter("control.retunes");
-    tmShedEngaged = telemetry::counter("control.shed.engaged");
-    tmShedReleased = telemetry::counter("control.shed.released");
     for (std::size_t i = 0; i < kSessionClassCount; ++i)
-        tmClass[i] = telemetry::counter(
+        classTallies[i].attach(
             std::string("control.class.") +
             sessionClassName(static_cast<SessionClass>(i)));
-    tmPressure = telemetry::gauge("control.queue.pressure");
-    tmObserved = telemetry::gauge("control.sessions.observed");
-    tmShedActive = telemetry::gauge("control.shed.active");
 }
 
 std::size_t
@@ -69,9 +62,7 @@ void
 Controller::stepWithLoad(std::uint32_t pressure_permille)
 {
     std::lock_guard<std::mutex> guard(mu);
-    ++epochCount;
-    if (tmEpochs)
-        tmEpochs->add(1);
+    epochCount.add();
 
     // 1. Snapshot every resident session. The forEach order depends
     // on hashing, so sort by id before classifying - the decision
@@ -92,9 +83,7 @@ Controller::stepWithLoad(std::uint32_t pressure_permille)
               [](const SessionSample &a, const SessionSample &b) {
                   return a.session < b.session;
               });
-    observedCount = scratchSamples.size();
-    if (tmObserved)
-        tmObserved->set(static_cast<std::int64_t>(observedCount));
+    observedCount.set(static_cast<std::int64_t>(scratchSamples.size()));
     rungOccupancy.assign(cfg.tauRungs.size(), 0);
     for (const SessionSample &sample : scratchSamples)
         ++rungOccupancy[rungOf(sample.predictionDelay)];
@@ -103,10 +92,7 @@ Controller::stepWithLoad(std::uint32_t pressure_permille)
     // rung when the verdict calls for it.
     for (const SessionSample &sample : scratchSamples) {
         const SessionClass cls = classifier.observe(sample);
-        ++classTallies[static_cast<std::size_t>(cls)];
-        if (telemetry::Counter *tm =
-                tmClass[static_cast<std::size_t>(cls)])
-            tm->add(1);
+        classTallies[static_cast<std::size_t>(cls)].add();
 
         const std::size_t rung = rungOf(sample.predictionDelay);
         std::size_t target = rung;
@@ -136,14 +122,12 @@ Controller::stepWithLoad(std::uint32_t pressure_permille)
 
         --rungOccupancy[rung];
         ++rungOccupancy[target];
-        ++decisionCount;
-        if (tmDecisions)
-            tmDecisions->add(1);
+        decisionCount.add();
         if (tmRetunes)
             tmRetunes->add(1);
         if (log.size() >= cfg.decisionLogCap)
             log.erase(log.begin());
-        log.push_back(ControlDecision{epochCount, sample.session,
+        log.push_back(ControlDecision{epochCount.get(), sample.session,
                                       cls, sample.predictionDelay,
                                       tau_after});
         // Settling time: drop the session's history so the next
@@ -153,32 +137,25 @@ Controller::stepWithLoad(std::uint32_t pressure_permille)
     }
 
     // 4. Queue-pressure response with hysteresis.
-    lastPressure = pressure_permille;
-    if (tmPressure)
-        tmPressure->set(static_cast<std::int64_t>(pressure_permille));
-    if (!shedActive && pressure_permille >= cfg.shedOnPermille) {
-        shedActive = true;
-        ++shedEngagedCount;
+    lastPressure.set(pressure_permille);
+    bool shedding = shedActive.get() != 0;
+    if (!shedding && pressure_permille >= cfg.shedOnPermille) {
+        shedding = true;
+        shedEngagedCount.add();
         eng.setForcedShedding(true);
-        if (tmShedEngaged)
-            tmShedEngaged->add(1);
-    } else if (shedActive &&
-               pressure_permille < cfg.shedOffPermille) {
-        shedActive = false;
-        ++shedReleasedCount;
+    } else if (shedding && pressure_permille < cfg.shedOffPermille) {
+        shedding = false;
+        shedReleasedCount.add();
         eng.setForcedShedding(false);
-        if (tmShedReleased)
-            tmShedReleased->add(1);
     }
-    if (tmShedActive)
-        tmShedActive->set(shedActive ? 1 : 0);
+    shedActive.set(shedding ? 1 : 0);
 }
 
 std::uint64_t
 Controller::epoch() const
 {
     std::lock_guard<std::mutex> guard(mu);
-    return epochCount;
+    return epochCount.get();
 }
 
 std::vector<ControlDecision>
@@ -193,15 +170,17 @@ Controller::stats() const
 {
     std::lock_guard<std::mutex> guard(mu);
     ControlStats out;
-    out.epochs = epochCount;
-    out.decisions = decisionCount;
-    out.sessionsObserved = observedCount;
+    out.epochs = epochCount.get();
+    out.decisions = decisionCount.get();
+    out.sessionsObserved =
+        static_cast<std::uint64_t>(observedCount.get());
     for (std::size_t i = 0; i < kSessionClassCount; ++i)
-        out.classCounts[i] = classTallies[i];
-    out.shedEngaged = shedEngagedCount;
-    out.shedReleased = shedReleasedCount;
-    out.shedActive = shedActive;
-    out.lastPressurePermille = lastPressure;
+        out.classCounts[i] = classTallies[i].get();
+    out.shedEngaged = shedEngagedCount.get();
+    out.shedReleased = shedReleasedCount.get();
+    out.shedActive = shedActive.get() != 0;
+    out.lastPressurePermille =
+        static_cast<std::uint32_t>(lastPressure.get());
     return out;
 }
 
@@ -209,26 +188,27 @@ std::uint32_t
 Controller::loadHintPermille() const
 {
     std::lock_guard<std::mutex> guard(mu);
-    return shedActive ? 500u : 1000u;
+    return shedActive.get() != 0 ? 500u : 1000u;
 }
 
 void
 Controller::appendStats(std::ostream &os) const
 {
     std::lock_guard<std::mutex> guard(mu);
-    os << ",\"control_epoch\":" << epochCount
-       << ",\"control_decisions\":" << decisionCount
-       << ",\"control_sessions_observed\":" << observedCount
-       << ",\"control_shed_engaged\":" << shedEngagedCount
-       << ",\"control_shed_released\":" << shedReleasedCount
-       << ",\"control_shed_active\":" << (shedActive ? 1 : 0)
-       << ",\"control_queue_pressure_permille\":" << lastPressure
+    const bool shedding = shedActive.get() != 0;
+    os << ",\"control_epoch\":" << epochCount.get()
+       << ",\"control_decisions\":" << decisionCount.get()
+       << ",\"control_sessions_observed\":" << observedCount.get()
+       << ",\"control_shed_engaged\":" << shedEngagedCount.get()
+       << ",\"control_shed_released\":" << shedReleasedCount.get()
+       << ",\"control_shed_active\":" << (shedding ? 1 : 0)
+       << ",\"control_queue_pressure_permille\":" << lastPressure.get()
        << ",\"control_load_hint_permille\":"
-       << (shedActive ? 500 : 1000);
+       << (shedding ? 500 : 1000);
     for (std::size_t i = 0; i < kSessionClassCount; ++i)
         os << ",\"control_class_"
            << sessionClassName(static_cast<SessionClass>(i))
-           << "\":" << classTallies[i];
+           << "\":" << classTallies[i].get();
 
     // The τ ladder and its occupancy (sessions per rung as of the
     // last epoch's snapshot) as flat arrays, so engine_top can show

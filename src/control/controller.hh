@@ -50,15 +50,10 @@
 #include <vector>
 
 #include "control/classifier.hh"
+#include "telemetry/stat.hh"
 
 namespace hotpath
 {
-
-namespace telemetry
-{
-class Counter;
-class Gauge;
-} // namespace telemetry
 
 namespace engine
 {
@@ -207,14 +202,6 @@ class Controller
 
     mutable std::mutex mu;
     SessionClassifier classifier;
-    std::uint64_t epochCount = 0;
-    std::uint64_t decisionCount = 0;
-    std::uint64_t observedCount = 0;
-    std::uint64_t classTallies[kSessionClassCount] = {};
-    std::uint64_t shedEngagedCount = 0;
-    std::uint64_t shedReleasedCount = 0;
-    bool shedActive = false;
-    std::uint32_t lastPressure = 0;
     std::vector<ControlDecision> log;
     /** Sessions per τ rung as of the last epoch (after its moves). */
     std::vector<std::uint64_t> rungOccupancy;
@@ -222,18 +209,24 @@ class Controller
     /** Reused per epoch (cleared, not reallocated). */
     std::vector<SessionSample> scratchSamples;
 
-    // Telemetry handles; nullptr when telemetry is not attached.
-    // Registered eagerly in the constructor so every control.*
-    // instrument appears in reports even at zero.
-    telemetry::Counter *tmEpochs = nullptr;
-    telemetry::Counter *tmDecisions = nullptr;
+    // Controller stats (read by stats(), written under `mu`). Each
+    // also bumps the control.* instrument of its name
+    // (telemetry/stat.hh); the instruments register eagerly, so every
+    // one appears in reports before the first epoch.
+    telemetry::CounterStat epochCount{"control.epochs"};
+    telemetry::CounterStat decisionCount{"control.decisions"};
+    /** Per SessionClass; mirrors into control.class.<name>. */
+    telemetry::CounterStat classTallies[kSessionClassCount];
+    telemetry::CounterStat shedEngagedCount{"control.shed.engaged"};
+    telemetry::CounterStat shedReleasedCount{"control.shed.released"};
+    telemetry::GaugeStat observedCount{"control.sessions.observed"};
+    /** 1 while forced shedding is engaged. */
+    telemetry::GaugeStat shedActive{"control.shed.active"};
+    /** Permille of queue capacity, as of the last epoch. */
+    telemetry::GaugeStat lastPressure{"control.queue.pressure"};
+    /** control.retunes: a documented, registry-only alias of
+     *  control.decisions (nullptr when telemetry is not attached). */
     telemetry::Counter *tmRetunes = nullptr;
-    telemetry::Counter *tmShedEngaged = nullptr;
-    telemetry::Counter *tmShedReleased = nullptr;
-    telemetry::Counter *tmClass[kSessionClassCount] = {};
-    telemetry::Gauge *tmPressure = nullptr;
-    telemetry::Gauge *tmObserved = nullptr;
-    telemetry::Gauge *tmShedActive = nullptr;
 };
 
 } // namespace control

@@ -96,14 +96,8 @@ Engine::Engine(EngineConfig config)
         spans = ownedSpans.get();
     }
 
-    tmFramesDecoded = telemetry::counter("engine.frames.decoded");
-    tmFramesRejected = telemetry::counter("engine.frames.rejected");
-    tmEvents = telemetry::counter("engine.events");
-    tmPredictions = telemetry::counter("engine.predictions");
-    tmFramesInline = telemetry::counter("engine.frames.inline");
-    tmBackpressure = telemetry::counter("engine.backpressure.waits");
-    tmExported = telemetry::counter("engine.sessions.exported");
-    tmImported = telemetry::counter("engine.sessions.imported");
+    for (telemetry::CounterStat &slot : rejectCounts)
+        slot.attach("engine.frames.rejected");
     tmQueueHighWater = telemetry::gauge("engine.queue.highwater");
     tmQueueDepth = telemetry::gauge("engine.queue.depth");
     tmBatchSize = telemetry::histogram("engine.batch.size");
@@ -120,29 +114,24 @@ Engine::Engine(EngineConfig config)
             tmInjected[s] = telemetry::counter(
                 std::string("engine.fault.injected.") +
                 fault::siteName(static_cast<fault::Site>(s)));
-        tmCorruptFrames =
-            telemetry::counter("engine.fault.frames.corrupted");
-        tmPoisoned =
-            telemetry::counter("engine.fault.sessions.poisoned");
+        corruptFrames.attach("engine.fault.frames.corrupted");
+        sessionsPoisoned.attach("engine.fault.sessions.poisoned");
         tmAllocFailures =
             telemetry::counter("engine.fault.alloc.failures");
         tmOverloadSpikes =
             telemetry::counter("engine.fault.overload.spikes");
-        tmWorkerStalled =
-            telemetry::counter("engine.fault.worker.stalled");
+        workersStalled.attach("engine.fault.worker.stalled");
         tmQuarantined =
             telemetry::counter("engine.recovered.frames.quarantined");
-        tmDelayedDelivered = telemetry::counter(
+        delayedDelivered.attach(
             "engine.recovered.frames.delayed.delivered");
         tmRebuilt =
             telemetry::counter("engine.recovered.sessions.rebuilt");
-        tmReadmitted = telemetry::counter(
+        sessionsReadmitted.attach(
             "engine.recovered.sessions.readmitted");
-        tmBackoffDropped =
-            telemetry::counter("engine.recovered.backoff.frames");
-        tmShed = telemetry::counter("engine.recovered.shed.frames");
-        tmWorkerUnstalled =
-            telemetry::counter("engine.recovered.worker.unstalled");
+        backoffDropped.attach("engine.recovered.backoff.frames");
+        framesShed.attach("engine.recovered.shed.frames");
+        workersUnstalled.attach("engine.recovered.worker.unstalled");
     }
 
     if (injector && injector->armed(fault::Site::AllocFail)) {
@@ -150,11 +139,7 @@ Engine::Engine(EngineConfig config)
             const bool fail =
                 injector->shouldInject(fault::Site::AllocFail);
             if (fail) {
-                if (tmInjected[static_cast<std::size_t>(
-                        fault::Site::AllocFail)])
-                    tmInjected[static_cast<std::size_t>(
-                                   fault::Site::AllocFail)]
-                        ->add(1);
+                countInjected(fault::Site::AllocFail);
                 if (tmAllocFailures)
                     tmAllocFailures->add(1);
             }
@@ -170,7 +155,6 @@ Engine::Engine(EngineConfig config)
     queues.reserve(shard_count);
     tmShardFrames.reserve(shard_count);
     tmShardDepth.reserve(shard_count);
-    tmShardBlocked.reserve(shard_count);
     for (std::size_t i = 0; i < shard_count; ++i) {
         queues.push_back(std::make_unique<ShardQueue>());
         if (cfg.overloadPolicy == OverloadPolicy::DropOldest)
@@ -188,24 +172,20 @@ Engine::Engine(EngineConfig config)
             telemetry::counter(prefix + ".frames"));
         tmShardDepth.push_back(
             telemetry::gauge(prefix + ".queue.depth"));
-        tmShardBlocked.push_back(
-            telemetry::counter(prefix + ".backpressure.waits"));
+        queues.back()->backpressureWaits.attach(prefix +
+                                                ".backpressure.waits");
     }
 
     if (worker_count == 0)
         return; // serial fallback mode
 
     workerStates.reserve(worker_count);
-    tmWorkerBusy.reserve(worker_count);
-    tmWorkerIdle.reserve(worker_count);
     for (std::size_t w = 0; w < worker_count; ++w) {
         workerStates.push_back(std::make_unique<WorkerState>());
         const std::string prefix =
             "engine.worker." + std::to_string(w);
-        tmWorkerBusy.push_back(
-            telemetry::counter(prefix + ".busy.ns"));
-        tmWorkerIdle.push_back(
-            telemetry::counter(prefix + ".idle.ns"));
+        workerStates.back()->busyNs.attach(prefix + ".busy.ns");
+        workerStates.back()->idleNs.attach(prefix + ".idle.ns");
     }
     for (std::size_t s = 0; s < shard_count; ++s) {
         const std::size_t owner = s % worker_count;
@@ -233,10 +213,7 @@ Engine::~Engine()
 void
 Engine::countReject(wire::DecodeStatus status)
 {
-    rejectCounts[rejectSlot(status)].fetch_add(
-        1, std::memory_order_relaxed);
-    if (tmFramesRejected)
-        tmFramesRejected->add(1);
+    rejectCounts[rejectSlot(status)].add();
     // A reject is a quarantine: the frame is skipped and counted,
     // never allowed to take the session or the engine down.
     if (tmQuarantined)
@@ -247,6 +224,13 @@ Engine::countReject(wire::DecodeStatus status)
         warn(std::string("engine: rejected frame (") +
              wire::decodeStatusName(status) +
              "); further rejections counted silently");
+}
+
+void
+Engine::countInjected(fault::Site site)
+{
+    if (telemetry::Counter *tm = tmInjected[static_cast<std::size_t>(site)])
+        tm->add(1);
 }
 
 bool
@@ -260,11 +244,7 @@ Engine::submit(std::vector<std::uint8_t> frame, std::uint64_t tag)
         if (injector->armed(fault::Site::FrameDrop) &&
             injector->shouldInject(fault::Site::FrameDrop)) {
             // Simulated network loss: the producer sees success.
-            if (tmInjected[static_cast<std::size_t>(
-                    fault::Site::FrameDrop)])
-                tmInjected[static_cast<std::size_t>(
-                               fault::Site::FrameDrop)]
-                    ->add(1);
+            countInjected(fault::Site::FrameDrop);
             return true;
         }
         bool corrupted = false;
@@ -273,11 +253,7 @@ Engine::submit(std::vector<std::uint8_t> frame, std::uint64_t tag)
             frame.size() > 3) {
             frame.resize(3 + aux % (frame.size() - 3));
             corrupted = true;
-            if (tmInjected[static_cast<std::size_t>(
-                    fault::Site::WireTruncate)])
-                tmInjected[static_cast<std::size_t>(
-                               fault::Site::WireTruncate)]
-                    ->add(1);
+            countInjected(fault::Site::WireTruncate);
         }
         if (injector->armed(fault::Site::WireBitFlip) &&
             injector->shouldInject(fault::Site::WireBitFlip, &aux) &&
@@ -285,24 +261,13 @@ Engine::submit(std::vector<std::uint8_t> frame, std::uint64_t tag)
             frame[(aux >> 3) % frame.size()] ^=
                 static_cast<std::uint8_t>(1u << (aux & 7));
             corrupted = true;
-            if (tmInjected[static_cast<std::size_t>(
-                    fault::Site::WireBitFlip)])
-                tmInjected[static_cast<std::size_t>(
-                               fault::Site::WireBitFlip)]
-                    ->add(1);
+            countInjected(fault::Site::WireBitFlip);
         }
-        if (corrupted) {
-            corruptFrames.fetch_add(1, std::memory_order_relaxed);
-            if (tmCorruptFrames)
-                tmCorruptFrames->add(1);
-        }
+        if (corrupted)
+            corruptFrames.add();
         if (injector->armed(fault::Site::FrameDelay) &&
             injector->shouldInject(fault::Site::FrameDelay)) {
-            if (tmInjected[static_cast<std::size_t>(
-                    fault::Site::FrameDelay)])
-                tmInjected[static_cast<std::size_t>(
-                               fault::Site::FrameDelay)]
-                    ->add(1);
+            countInjected(fault::Site::FrameDelay);
             std::lock_guard<std::mutex> lock(delayMu);
             delayed.push_back(
                 {std::move(frame), tag,
@@ -507,12 +472,8 @@ Engine::routeFrame(FrameBuf &frame, std::uint64_t tag, bool blocking,
                 noteFrameDone(1);
                 return SubmitStatus::Backpressure;
             }
-            queue.backpressureWaits.fetch_add(
-                1, std::memory_order_relaxed);
-            if (tmBackpressure)
-                tmBackpressure->add(1);
-            if (tmShardBlocked[shard_index])
-                tmShardBlocked[shard_index]->add(1);
+            queue.backpressureWaits.add();
+            backpressureWaits.add();
             // Full: park until the worker frees a slot. The waiter
             // count tells the worker to bother with the notify; the
             // timeout makes a lost race self-heal (see kParkTimeout).
@@ -561,19 +522,13 @@ Engine::routeFrame(FrameBuf &frame, std::uint64_t tag, bool blocking,
             shed_frame = std::move(queue.frames.front());
             queue.frames.pop_front();
             did_shed = true;
-            framesShed.fetch_add(1, std::memory_order_relaxed);
-            if (tmShed)
-                tmShed->add(1);
+            framesShed.add();
             noteFrameDone(1);
         } else if (saturated) {
             if (!blocking)
                 return SubmitStatus::Backpressure;
-            queue.backpressureWaits.fetch_add(
-                1, std::memory_order_relaxed);
-            if (tmBackpressure)
-                tmBackpressure->add(1);
-            if (tmShardBlocked[shard_index])
-                tmShardBlocked[shard_index]->add(1);
+            queue.backpressureWaits.add();
+            backpressureWaits.add();
             queue.spaceAvailable.wait(lock, [&] {
                 return queue.frames.size() <
                        cfg.queueCapacityFrames;
@@ -653,9 +608,7 @@ Engine::flushDelayed(bool all)
             tag = delayed.front().tag;
             delayed.pop_front();
         }
-        delayedDelivered.fetch_add(1, std::memory_order_relaxed);
-        if (tmDelayedDelivered)
-            tmDelayedDelivered->add(1);
+        delayedDelivered.add();
         // Already counted in framesSubmitted at original submission.
         FrameBuf buf(std::move(frame));
         routeFrame(buf, tag, /*blocking=*/true);
@@ -686,9 +639,7 @@ Engine::attributeDecodeError(const std::uint8_t *data,
     if (!poisoned)
         return;
 
-    sessionsPoisoned.fetch_add(1, std::memory_order_relaxed);
-    if (tmPoisoned)
-        tmPoisoned->add(1);
+    sessionsPoisoned.add();
     // Evict-and-rebuild, with exponential re-admission backoff: each
     // poisoning doubles the number of frames dropped before the
     // fresh session accepts traffic again.
@@ -750,20 +701,14 @@ Engine::processSessionState(const wire::DecodedFrame &scratch,
         wire::appendSessionStateFrame(state_scratch, session,
                                       scratch.header.sequence,
                                       snapshot);
-        sessionsExportedCount.fetch_add(1,
-                                        std::memory_order_relaxed);
-        if (tmExported)
-            tmExported->add(1);
+        sessionsExported.add();
     } else {
         table.installSessionLocked(session, [&](Session &s) {
             s.importState(scratch.state);
         });
-        sessionsImportedCount.fetch_add(1,
-                                        std::memory_order_relaxed);
-        if (tmImported)
-            tmImported->add(1);
+        sessionsImported.add();
     }
-    framesAppliedCount.fetch_add(1, std::memory_order_relaxed);
+    framesApplied.add();
 
     if (frameCallback) {
         FrameOutcome outcome;
@@ -810,9 +755,7 @@ Engine::processInline(std::size_t shard_index, const FrameBuf &frame,
         processFrame(frame.data(), frame.size(), tag, local.scratch,
                      local.preds, local.stateReply, span_ns, lock);
     }
-    framesInline.fetch_add(1, std::memory_order_relaxed);
-    if (tmFramesInline)
-        tmFramesInline->add(1);
+    framesInline.add();
     if (tmShardFrames[shard_index])
         tmShardFrames[shard_index]->add(1);
     if (claimed)
@@ -855,9 +798,7 @@ Engine::processFrame(const std::uint8_t *data, std::size_t size,
         // request. Counted as decoded+applied so frame conservation
         // holds; never span-sampled past queue-wait (the stage-set
         // contract covers PathEvents frames only).
-        framesDecoded.fetch_add(1, std::memory_order_relaxed);
-        if (tmFramesDecoded)
-            tmFramesDecoded->add(1);
+        framesDecoded.add();
         processSessionState(scratch, tag, state_scratch, shard_lock);
         return;
     }
@@ -869,9 +810,7 @@ Engine::processFrame(const std::uint8_t *data, std::size_t size,
         return;
     }
 
-    framesDecoded.fetch_add(1, std::memory_order_relaxed);
-    if (tmFramesDecoded)
-        tmFramesDecoded->add(1);
+    framesDecoded.add();
 
     // Decode and predict are only recorded past the successful-decode
     // PathEvents gate, and predict wraps withSession (which runs for
@@ -909,31 +848,18 @@ Engine::processFrame(const std::uint8_t *data, std::size_t size,
                            telemetry::monotonicNanos() -
                                stage_start);
     if (resident && applied) {
-        framesAppliedCount.fetch_add(1, std::memory_order_relaxed);
-        eventsProcessed.fetch_add(scratch.events.size(),
-                                  std::memory_order_relaxed);
-        if (tmEvents)
-            tmEvents->add(scratch.events.size());
-        if (predicted != 0) {
-            predictionsMade.fetch_add(predicted,
-                                      std::memory_order_relaxed);
-            if (tmPredictions)
-                tmPredictions->add(predicted);
-        }
+        framesApplied.add();
+        eventsProcessed.add(scratch.events.size());
+        if (predicted != 0)
+            predictionsMade.add(predicted);
     } else if (!resident) {
         // Session creation refused (injected allocation failure):
         // the decoded frame is dropped, visibly.
-        allocDropped.fetch_add(1, std::memory_order_relaxed);
+        allocDropped.add();
     } else {
-        backoffDropped.fetch_add(1, std::memory_order_relaxed);
-        if (tmBackoffDropped)
-            tmBackoffDropped->add(1);
-        if (readmitted) {
-            sessionsReadmitted.fetch_add(1,
-                                         std::memory_order_relaxed);
-            if (tmReadmitted)
-                tmReadmitted->add(1);
-        }
+        backoffDropped.add();
+        if (readmitted)
+            sessionsReadmitted.add();
     }
 
     if (frameCallback) {
@@ -1039,7 +965,7 @@ Engine::workerLoop(std::size_t worker_index)
             }
             did_work = true;
 
-            batchesPopped.fetch_add(1, std::memory_order_relaxed);
+            batchesPopped.add();
             if (tmBatchSize)
                 tmBatchSize->record(batch.size());
             if (tmShardFrames[shard_index])
@@ -1066,25 +992,15 @@ Engine::workerLoop(std::size_t worker_index)
         }
         if (did_work) {
             const std::uint64_t now = telemetry::monotonicNanos();
-            self.busyNs.fetch_add(now - mark,
-                                  std::memory_order_relaxed);
-            if (tmWorkerBusy[worker_index])
-                tmWorkerBusy[worker_index]->add(now - mark);
+            self.busyNs.add(now - mark);
             mark = now;
             if (fault::kCompiledIn && injector &&
                 injector->armed(fault::Site::WorkerStall) &&
                 injector->shouldInject(fault::Site::WorkerStall)) {
                 // Cooperative injected stall: park until the
                 // watchdog notices and releases us (or shutdown).
-                workersStalledCount.fetch_add(
-                    1, std::memory_order_relaxed);
-                if (tmWorkerStalled)
-                    tmWorkerStalled->add(1);
-                if (tmInjected[static_cast<std::size_t>(
-                        fault::Site::WorkerStall)])
-                    tmInjected[static_cast<std::size_t>(
-                                   fault::Site::WorkerStall)]
-                        ->add(1);
+                workersStalled.add();
+                countInjected(fault::Site::WorkerStall);
                 self.stalled.store(true, std::memory_order_release);
                 while (!self.stallRelease.load(
                            std::memory_order_acquire) &&
@@ -1143,10 +1059,7 @@ Engine::workerLoop(std::size_t worker_index)
             continue;
         }
         const std::uint64_t before_wait = telemetry::monotonicNanos();
-        self.busyNs.fetch_add(before_wait - mark,
-                              std::memory_order_relaxed);
-        if (tmWorkerBusy[worker_index])
-            tmWorkerBusy[worker_index]->add(before_wait - mark);
+        self.busyNs.add(before_wait - mark);
         if (lock_free) {
             // Timed park: the fence handshake above makes a missed
             // notify nearly impossible; the timeout makes even that
@@ -1164,10 +1077,7 @@ Engine::workerLoop(std::size_t worker_index)
         self.wake = false;
         self.sleeping.store(false, std::memory_order_relaxed);
         mark = telemetry::monotonicNanos();
-        self.idleNs.fetch_add(mark - before_wait,
-                              std::memory_order_relaxed);
-        if (tmWorkerIdle[worker_index])
-            tmWorkerIdle[worker_index]->add(mark - before_wait);
+        self.idleNs.add(mark - before_wait);
     }
 }
 
@@ -1189,10 +1099,7 @@ Engine::watchdogLoop()
                 // recovery.
                 worker.stallRelease.store(true,
                                           std::memory_order_release);
-                workersUnstalledCount.fetch_add(
-                    1, std::memory_order_relaxed);
-                if (tmWorkerUnstalled)
-                    tmWorkerUnstalled->add(1);
+                workersUnstalled.add();
                 continue;
             }
             const std::uint64_t beat =
@@ -1203,8 +1110,7 @@ Engine::watchdogLoop()
                 // an observation, not proof - the pending frames may
                 // belong to another worker's shards - so it counts
                 // and warns without intervening.
-                stallDetections.fetch_add(1,
-                                          std::memory_order_relaxed);
+                stallDetections.add();
                 if (!warnedStall.exchange(true,
                                           std::memory_order_relaxed))
                     warn("engine: watchdog saw a silent worker with "
@@ -1266,37 +1172,27 @@ Engine::stats() const
     EngineStats stats;
     stats.framesSubmitted =
         framesSubmitted.load(std::memory_order_relaxed);
-    stats.framesDecoded =
-        framesDecoded.load(std::memory_order_relaxed);
-    stats.rejects.truncated =
-        rejectCounts[0].load(std::memory_order_relaxed);
-    stats.rejects.badMagic =
-        rejectCounts[1].load(std::memory_order_relaxed);
-    stats.rejects.badKind =
-        rejectCounts[2].load(std::memory_order_relaxed);
-    stats.rejects.badLength =
-        rejectCounts[3].load(std::memory_order_relaxed);
-    stats.rejects.badCrc =
-        rejectCounts[4].load(std::memory_order_relaxed);
-    stats.rejects.badPayload =
-        rejectCounts[5].load(std::memory_order_relaxed);
+    stats.framesDecoded = framesDecoded.get();
+    stats.rejects.truncated = rejectCounts[0].get();
+    stats.rejects.badMagic = rejectCounts[1].get();
+    stats.rejects.badKind = rejectCounts[2].get();
+    stats.rejects.badLength = rejectCounts[3].get();
+    stats.rejects.badCrc = rejectCounts[4].get();
+    stats.rejects.badPayload = rejectCounts[5].get();
     stats.framesRejected = stats.rejects.total();
-    stats.eventsProcessed =
-        eventsProcessed.load(std::memory_order_relaxed);
-    stats.predictions =
-        predictionsMade.load(std::memory_order_relaxed);
-    stats.batches = batchesPopped.load(std::memory_order_relaxed);
-    stats.framesInline = framesInline.load(std::memory_order_relaxed);
+    stats.eventsProcessed = eventsProcessed.get();
+    stats.predictions = predictionsMade.get();
+    stats.batches = batchesPopped.get();
+    stats.framesInline = framesInline.get();
+    stats.backpressureWaits = backpressureWaits.get();
 
     const SessionTableStats table_stats = table.stats();
     stats.sessionsCreated = table_stats.created;
     stats.sessionsEvicted = table_stats.evicted;
     stats.sessionsIdleEvicted = table_stats.idleEvicted;
     stats.sessionsLive = table_stats.live;
-    stats.sessionsExported =
-        sessionsExportedCount.load(std::memory_order_relaxed);
-    stats.sessionsImported =
-        sessionsImportedCount.load(std::memory_order_relaxed);
+    stats.sessionsExported = sessionsExported.get();
+    stats.sessionsImported = sessionsImported.get();
 
     if (injector) {
         stats.fault.injectedBitFlips =
@@ -1312,57 +1208,37 @@ Engine::stats() const
         stats.fault.injectedAllocFails =
             injector->counters(fault::Site::AllocFail).injected;
     }
-    stats.fault.corruptFrames =
-        corruptFrames.load(std::memory_order_relaxed);
+    stats.fault.corruptFrames = corruptFrames.get();
     stats.fault.framesQuarantined = stats.rejects.total();
-    stats.fault.delayedDelivered =
-        delayedDelivered.load(std::memory_order_relaxed);
-    stats.fault.sessionsPoisoned =
-        sessionsPoisoned.load(std::memory_order_relaxed);
+    stats.fault.delayedDelivered = delayedDelivered.get();
+    stats.fault.sessionsPoisoned = sessionsPoisoned.get();
     stats.fault.sessionsRebuilt = table_stats.rebuilt;
-    stats.fault.sessionsReadmitted =
-        sessionsReadmitted.load(std::memory_order_relaxed);
-    stats.fault.backoffDroppedFrames =
-        backoffDropped.load(std::memory_order_relaxed);
-    stats.fault.allocDroppedFrames =
-        allocDropped.load(std::memory_order_relaxed);
-    stats.fault.shedFrames =
-        framesShed.load(std::memory_order_relaxed);
-    stats.fault.workersStalled =
-        workersStalledCount.load(std::memory_order_relaxed);
-    stats.fault.workersUnstalled =
-        workersUnstalledCount.load(std::memory_order_relaxed);
-    stats.fault.stallDetections =
-        stallDetections.load(std::memory_order_relaxed);
-    stats.fault.framesApplied =
-        framesAppliedCount.load(std::memory_order_relaxed);
+    stats.fault.sessionsReadmitted = sessionsReadmitted.get();
+    stats.fault.backoffDroppedFrames = backoffDropped.get();
+    stats.fault.allocDroppedFrames = allocDropped.get();
+    stats.fault.shedFrames = framesShed.get();
+    stats.fault.workersStalled = workersStalled.get();
+    stats.fault.workersUnstalled = workersUnstalled.get();
+    stats.fault.stallDetections = stallDetections.get();
+    stats.fault.framesApplied = framesApplied.get();
 
     stats.queueHighWater.reserve(queues.size());
     stats.queueDepth.reserve(queues.size());
     stats.queueBackpressureWaits.reserve(queues.size());
     for (const auto &queue : queues) {
+        stats.queueHighWater.push_back(
+            queue->highWater.load(std::memory_order_relaxed));
+        stats.queueBackpressureWaits.push_back(
+            queue->backpressureWaits.get());
         if (queue->ring) {
             // Lock-free backend: the accounting is all atomic.
-            stats.queueHighWater.push_back(
-                queue->highWater.load(std::memory_order_relaxed));
             stats.queueDepth.push_back(
                 std::min(queue->ring->size(),
                          cfg.queueCapacityFrames));
-            const std::uint64_t waits =
-                queue->backpressureWaits.load(
-                    std::memory_order_relaxed);
-            stats.queueBackpressureWaits.push_back(waits);
-            stats.backpressureWaits += waits;
             continue;
         }
         std::lock_guard<std::mutex> lock(queue->mu);
-        stats.queueHighWater.push_back(
-            queue->highWater.load(std::memory_order_relaxed));
         stats.queueDepth.push_back(queue->frames.size());
-        const std::uint64_t waits =
-            queue->backpressureWaits.load(std::memory_order_relaxed);
-        stats.queueBackpressureWaits.push_back(waits);
-        stats.backpressureWaits += waits;
         if (queue->degradation)
             stats.fault.degradedEntries +=
                 queue->degradation->degradedEntries();
@@ -1370,10 +1246,8 @@ Engine::stats() const
     stats.workerBusyNs.reserve(workerStates.size());
     stats.workerIdleNs.reserve(workerStates.size());
     for (const auto &worker : workerStates) {
-        stats.workerBusyNs.push_back(
-            worker->busyNs.load(std::memory_order_relaxed));
-        stats.workerIdleNs.push_back(
-            worker->idleNs.load(std::memory_order_relaxed));
+        stats.workerBusyNs.push_back(worker->busyNs.get());
+        stats.workerIdleNs.push_back(worker->idleNs.get());
     }
     return stats;
 }
@@ -1398,11 +1272,8 @@ Engine::exportSession(std::uint64_t session_id,
         table.peekSession(session_id, [&](const Session &session) {
             session.exportState(out);
         });
-    if (resident) {
-        sessionsExportedCount.fetch_add(1, std::memory_order_relaxed);
-        if (tmExported)
-            tmExported->add(1);
-    }
+    if (resident)
+        sessionsExported.add();
     return resident;
 }
 
@@ -1413,9 +1284,7 @@ Engine::importSession(std::uint64_t session_id,
     table.installSession(session_id, [&](Session &session) {
         session.importState(state);
     });
-    sessionsImportedCount.fetch_add(1, std::memory_order_relaxed);
-    if (tmImported)
-        tmImported->add(1);
+    sessionsImported.add();
 }
 
 } // namespace hotpath::engine

@@ -37,8 +37,8 @@
  *    takes its shard's table stripe lock ONCE per drained batch
  *    (ShardedSessionTable::lockShard) and then reaches sessions with
  *    plain lookups; cross-thread operations (idle sweeps,
- *    export/import, admin stats) still lock per call and interleave
- *    between batches.
+ *    export/import) still lock per call and interleave between
+ *    batches. stats() reads atomics and takes no stripe lock.
  *  - Frames move without payload copies: submit() moves the caller's
  *    buffer, and submitShared() routes a frame as an offset/length
  *    slice of a caller-owned shared buffer (producers that pre-encode
@@ -103,15 +103,13 @@
 #include "engine/wire_format.hh"
 #include "support/fault_injector.hh"
 #include "support/mpsc_ring.hh"
+#include "telemetry/stat.hh"
 
 namespace hotpath
 {
 
 namespace telemetry
 {
-class Counter;
-class Gauge;
-class Histogram;
 class SpanRecorder;
 } // namespace telemetry
 
@@ -734,7 +732,8 @@ class Engine
         // Shared accounting and ownership.
         std::condition_variable spaceAvailable;
         std::atomic<std::size_t> highWater{0};
-        std::atomic<std::uint64_t> backpressureWaits{0};
+        /** Mirrors into engine.shard.<i>.backpressure.waits. */
+        telemetry::CounterStat backpressureWaits;
         std::size_t worker = 0; // owning worker index
     };
 
@@ -753,10 +752,11 @@ class Engine
         std::atomic<std::uint64_t> heartbeat{0};
         std::atomic<bool> stalled{false};
         std::atomic<bool> stallRelease{false};
-        // Utilization accounting (relaxed; read by stats()). Busy
-        // covers batch processing, idle covers the parked wait.
-        std::atomic<std::uint64_t> busyNs{0};
-        std::atomic<std::uint64_t> idleNs{0};
+        // Utilization accounting (read by stats(); mirrors into
+        // engine.worker.<w>.{busy,idle}.ns). Busy covers batch
+        // processing, idle covers the parked wait.
+        telemetry::CounterStat busyNs;
+        telemetry::CounterStat idleNs;
     };
 
     struct DelayedFrame
@@ -844,6 +844,8 @@ class Engine
     void flushDelayed(bool all);
 
     void countReject(wire::DecodeStatus status);
+    /** Bump engine.fault.injected.<site> (when registered). */
+    void countInjected(fault::Site site);
     void noteFrameDone(std::uint64_t count = 1);
 
     /** Record a shard queue's post-push occupancy (high-water CAS
@@ -881,71 +883,63 @@ class Engine
     std::mutex delayMu;
     std::deque<DelayedFrame> delayed;
 
-    // Aggregates maintained with relaxed atomics (read by stats()).
+    // Per-engine stats (read by stats()). A named stat also bumps the
+    // registry instrument of that name (telemetry/stat.hh).
     std::atomic<std::uint64_t> framesSubmitted{0};
-    std::atomic<std::uint64_t> framesDecoded{0};
-    std::atomic<std::uint64_t> eventsProcessed{0};
-    std::atomic<std::uint64_t> predictionsMade{0};
-    std::atomic<std::uint64_t> batchesPopped{0};
-    std::atomic<std::uint64_t> framesInline{0};
-    std::atomic<std::uint64_t> rejectCounts[6]{};
+    telemetry::CounterStat framesDecoded{"engine.frames.decoded"};
+    telemetry::CounterStat eventsProcessed{"engine.events"};
+    telemetry::CounterStat predictionsMade{"engine.predictions"};
+    telemetry::CounterStat framesInline{"engine.frames.inline"};
+    telemetry::CounterStat backpressureWaits{
+        "engine.backpressure.waits"};
+    telemetry::CounterStat batchesPopped;
+    /** Indexed by rejectSlot(); every slot mirrors into
+     *  engine.frames.rejected, which therefore reads their sum. */
+    telemetry::CounterStat rejectCounts[6];
+    telemetry::CounterStat framesApplied;
+    mutable telemetry::CounterStat sessionsExported{
+        "engine.sessions.exported"};
+    telemetry::CounterStat sessionsImported{"engine.sessions.imported"};
 
-    // Fault/recovery accounting (see FaultRecoveryStats).
-    std::atomic<std::uint64_t> corruptFrames{0};
-    std::atomic<std::uint64_t> delayedDelivered{0};
-    std::atomic<std::uint64_t> sessionsPoisoned{0};
-    std::atomic<std::uint64_t> sessionsReadmitted{0};
-    std::atomic<std::uint64_t> backoffDropped{0};
-    std::atomic<std::uint64_t> allocDropped{0};
-    std::atomic<std::uint64_t> framesShed{0};
-    std::atomic<std::uint64_t> framesAppliedCount{0};
-    mutable std::atomic<std::uint64_t> sessionsExportedCount{0};
-    std::atomic<std::uint64_t> sessionsImportedCount{0};
-    std::atomic<std::uint64_t> workersStalledCount{0};
-    std::atomic<std::uint64_t> workersUnstalledCount{0};
-    std::atomic<std::uint64_t> stallDetections{0};
+    // Fault/recovery stats (see FaultRecoveryStats). Those with an
+    // instrument attach it only when a resilience feature (fault plan,
+    // error budget, shedding, watchdog) is on, so default runs keep
+    // their RunReports unchanged.
+    telemetry::CounterStat corruptFrames;
+    telemetry::CounterStat delayedDelivered;
+    telemetry::CounterStat sessionsPoisoned;
+    telemetry::CounterStat sessionsReadmitted;
+    telemetry::CounterStat backoffDropped;
+    telemetry::CounterStat allocDropped;
+    telemetry::CounterStat framesShed;
+    telemetry::CounterStat workersStalled;
+    telemetry::CounterStat workersUnstalled;
+    telemetry::CounterStat stallDetections;
 
-    // Telemetry handles; nullptr when telemetry is not attached.
-    telemetry::Counter *tmFramesDecoded = nullptr;
-    telemetry::Counter *tmFramesRejected = nullptr;
-    telemetry::Counter *tmEvents = nullptr;
-    telemetry::Counter *tmPredictions = nullptr;
-    telemetry::Counter *tmFramesInline = nullptr;
-    telemetry::Counter *tmBackpressure = nullptr;
-    telemetry::Counter *tmExported = nullptr;
-    telemetry::Counter *tmImported = nullptr;
+    // Registry-only instruments (no per-engine stat of their own);
+    // nullptr when telemetry is not attached.
     telemetry::Gauge *tmQueueHighWater = nullptr;
     telemetry::Gauge *tmQueueDepth = nullptr;
     telemetry::Histogram *tmBatchSize = nullptr;
+    // Eagerly registered so every shard appears in reports even at
+    // zero.
     std::vector<telemetry::Counter *> tmShardFrames;
-    // Contention/utilization instruments (eagerly registered so every
-    // shard and worker appears in reports even at zero).
     std::vector<telemetry::Gauge *> tmShardDepth;
-    std::vector<telemetry::Counter *> tmShardBlocked;
-    std::vector<telemetry::Counter *> tmWorkerBusy;
-    std::vector<telemetry::Counter *> tmWorkerIdle;
 
     // Stage-span recorder: engine-owned when cfg.spanSampleEvery != 0,
     // else whatever setSpanRecorder() installed (the net server's).
     std::unique_ptr<telemetry::SpanRecorder> ownedSpans;
     telemetry::SpanRecorder *spans = nullptr;
 
-    // Resilience telemetry; created only when a resilience feature
-    // (fault plan, error budget, shedding, watchdog) is enabled so
-    // default runs keep their RunReports unchanged.
+    // Registry-only resilience instruments, registered with the
+    // resilience stats above. The injected counts mirror the fault
+    // injector's own counters; overload spikes mirror the spike
+    // detectors' degraded entries.
     telemetry::Counter *tmInjected[fault::kSiteCount] = {};
-    telemetry::Counter *tmCorruptFrames = nullptr;
     telemetry::Counter *tmQuarantined = nullptr;
-    telemetry::Counter *tmDelayedDelivered = nullptr;
-    telemetry::Counter *tmPoisoned = nullptr;
     telemetry::Counter *tmRebuilt = nullptr;
-    telemetry::Counter *tmReadmitted = nullptr;
-    telemetry::Counter *tmBackoffDropped = nullptr;
     telemetry::Counter *tmAllocFailures = nullptr;
-    telemetry::Counter *tmShed = nullptr;
     telemetry::Counter *tmOverloadSpikes = nullptr;
-    telemetry::Counter *tmWorkerStalled = nullptr;
-    telemetry::Counter *tmWorkerUnstalled = nullptr;
 };
 
 } // namespace engine

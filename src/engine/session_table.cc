@@ -44,11 +44,6 @@ ShardedSessionTable::ShardedSessionTable(SessionTableConfig config)
         ? 0
         : (cfg.maxSessions + count - 1) / count;
 
-    tmCreated = telemetry::counter("engine.sessions.created");
-    tmEvicted = telemetry::counter("engine.sessions.evicted");
-    tmIdleEvicted =
-        telemetry::counter("engine.sessions.evicted.idle");
-    tmLive = telemetry::gauge("engine.sessions.live");
     tmLockWait = telemetry::histogram("engine.table.lock.wait.ns");
 }
 
@@ -98,7 +93,7 @@ ShardedSessionTable::withSessionLocked(std::uint64_t session_id,
     auto it = shard.sessions.find(session_id);
     if (it == shard.sessions.end()) {
         if (allocFailHook && allocFailHook()) {
-            ++shard.allocFailures;
+            allocFailures.add();
             return false;
         }
         if (perShardCap != 0 &&
@@ -107,11 +102,8 @@ ShardedSessionTable::withSessionLocked(std::uint64_t session_id,
             const std::uint64_t victim = shard.lru.back();
             shard.lru.pop_back();
             shard.sessions.erase(victim);
-            ++shard.evicted;
-            if (tmEvicted)
-                tmEvicted->add(1);
-            if (tmLive)
-                tmLive->add(-1);
+            evicted.add();
+            live.add(-1);
         }
         shard.lru.push_front(session_id);
         Shard::Entry entry;
@@ -121,11 +113,8 @@ ShardedSessionTable::withSessionLocked(std::uint64_t session_id,
         entry.lruPos = shard.lru.begin();
         it = shard.sessions.emplace(session_id, std::move(entry))
                  .first;
-        ++shard.created;
-        if (tmCreated)
-            tmCreated->add(1);
-        if (tmLive)
-            tmLive->add(1);
+        created.add();
+        live.add(1);
     } else if (it->second.lruPos != shard.lru.begin()) {
         // Refresh recency: this session is active again.
         shard.lru.splice(shard.lru.begin(), shard.lru,
@@ -164,17 +153,14 @@ ShardedSessionTable::rebuildSessionLocked(std::uint64_t session_id,
             activityClock.load(std::memory_order_relaxed);
         it = shard.sessions.emplace(session_id, std::move(entry))
                  .first;
-        ++shard.created;
-        if (tmCreated)
-            tmCreated->add(1);
-        if (tmLive)
-            tmLive->add(1);
+        created.add();
+        live.add(1);
     } else {
         it->second.session =
             std::make_unique<Session>(session_id,
                                       makeSessionConfig());
     }
-    ++shard.rebuilt;
+    rebuilt.add();
     init(*it->second.session);
 }
 
@@ -202,11 +188,8 @@ ShardedSessionTable::installSessionLocked(std::uint64_t session_id,
         entry.lruPos = shard.lru.begin();
         it = shard.sessions.emplace(session_id, std::move(entry))
                  .first;
-        ++shard.created;
-        if (tmCreated)
-            tmCreated->add(1);
-        if (tmLive)
-            tmLive->add(1);
+        created.add();
+        live.add(1);
     } else {
         it->second.session =
             std::make_unique<Session>(session_id,
@@ -292,8 +275,7 @@ ShardedSessionTable::erase(std::uint64_t session_id)
         return false;
     shard.lru.erase(it->second.lruPos);
     shard.sessions.erase(it);
-    if (tmLive)
-        tmLive->add(-1);
+    live.add(-1);
     return true;
 }
 
@@ -302,7 +284,7 @@ ShardedSessionTable::evictIdle(std::uint64_t max_age)
 {
     const std::uint64_t now =
         activityClock.load(std::memory_order_relaxed);
-    std::size_t evicted = 0;
+    std::size_t retired = 0;
     for (const auto &shard_ptr : shards) {
         Shard &shard = *shard_ptr;
         std::lock_guard<std::mutex> lock(shard.mu);
@@ -323,41 +305,30 @@ ShardedSessionTable::evictIdle(std::uint64_t max_age)
                 break;
             shard.lru.pop_back();
             shard.sessions.erase(it);
-            ++shard.idleEvicted;
-            ++evicted;
-            if (tmIdleEvicted)
-                tmIdleEvicted->add(1);
-            if (tmLive)
-                tmLive->add(-1);
+            ++retired;
+            idleEvicted.add();
+            live.add(-1);
         }
     }
-    return evicted;
+    return retired;
 }
 
 std::size_t
 ShardedSessionTable::liveSessions() const
 {
-    std::size_t live = 0;
-    for (const auto &shard : shards) {
-        std::lock_guard<std::mutex> lock(shard->mu);
-        live += shard->sessions.size();
-    }
-    return live;
+    return static_cast<std::size_t>(live.get());
 }
 
 SessionTableStats
 ShardedSessionTable::stats() const
 {
     SessionTableStats stats;
-    for (const auto &shard : shards) {
-        std::lock_guard<std::mutex> lock(shard->mu);
-        stats.created += shard->created;
-        stats.evicted += shard->evicted;
-        stats.idleEvicted += shard->idleEvicted;
-        stats.rebuilt += shard->rebuilt;
-        stats.allocFailures += shard->allocFailures;
-        stats.live += shard->sessions.size();
-    }
+    stats.created = created.get();
+    stats.evicted = evicted.get();
+    stats.idleEvicted = idleEvicted.get();
+    stats.rebuilt = rebuilt.get();
+    stats.allocFailures = allocFailures.get();
+    stats.live = liveSessions();
     return stats;
 }
 

@@ -23,9 +23,10 @@
  *    Visitor callbacks are `FunctionRef`s - no `std::function`
  *    allocation per frame.
  *  - The cross-thread plane (everything else: `withSession`,
- *    `peekSession`, `evictIdle`, `stats`, export/import) locks per
- *    call, exactly as before. This is how admin threads, idle sweeps
- *    and migration interleave safely with worker batches.
+ *    `peekSession`, `evictIdle`, export/import) locks per call,
+ *    exactly as before. This is how admin threads, idle sweeps and
+ *    migration interleave safely with worker batches. `stats` reads
+ *    atomics and takes no lock.
  */
 
 #ifndef HOTPATH_ENGINE_SESSION_TABLE_HH
@@ -42,16 +43,10 @@
 
 #include "engine/session.hh"
 #include "support/function_ref.hh"
+#include "telemetry/stat.hh"
 
 namespace hotpath
 {
-
-namespace telemetry
-{
-class Counter;
-class Gauge;
-class Histogram;
-} // namespace telemetry
 
 namespace engine
 {
@@ -248,10 +243,10 @@ class ShardedSessionTable
         return activityClock.load(std::memory_order_relaxed);
     }
 
-    /** Number of resident sessions (sums the shards, under locks). */
+    /** Number of resident sessions. */
     std::size_t liveSessions() const;
 
-    /** Aggregated lifetime counters across all shards. */
+    /** Lifetime counters across all shards. */
     SessionTableStats stats() const;
 
   private:
@@ -268,11 +263,6 @@ class ShardedSessionTable
             std::uint64_t lastActive = 0;
         };
         std::unordered_map<std::uint64_t, Entry> sessions;
-        std::uint64_t created = 0;
-        std::uint64_t evicted = 0;
-        std::uint64_t idleEvicted = 0;
-        std::uint64_t rebuilt = 0;
-        std::uint64_t allocFailures = 0;
     };
 
     /** cfg.session with the dynamic delay override applied - what
@@ -289,12 +279,16 @@ class ShardedSessionTable
      *  sessions (0 = no override). */
     std::atomic<std::uint64_t> dynamicDelay{0};
 
-    // Telemetry handles; nullptr when telemetry is not attached.
-    telemetry::Counter *tmCreated = nullptr;
-    telemetry::Counter *tmEvicted = nullptr;
-    telemetry::Counter *tmIdleEvicted = nullptr;
-    telemetry::Gauge *tmLive = nullptr;
-    /** Stripe-lock acquisition wait (lockShard + the cross-thread
+    // Table-wide stats (read by stats()); a named stat also bumps the
+    // registry instrument of that name (telemetry/stat.hh).
+    telemetry::CounterStat created{"engine.sessions.created"};
+    telemetry::CounterStat evicted{"engine.sessions.evicted"};
+    telemetry::CounterStat idleEvicted{"engine.sessions.evicted.idle"};
+    telemetry::CounterStat rebuilt;
+    telemetry::CounterStat allocFailures;
+    telemetry::GaugeStat live{"engine.sessions.live"};
+    /** Registry-only (nullptr when telemetry is not attached).
+     *  Stripe-lock acquisition wait (lockShard + the cross-thread
      *  plane); a fat tail here means cross-thread sweeps are
      *  stalling behind long worker batches. */
     telemetry::Histogram *tmLockWait = nullptr;

@@ -20,7 +20,6 @@
 
 #include "engine/wire_format.hh"
 #include "support/logging.hh"
-#include "telemetry/exposition.hh"
 #include "telemetry/percentiles.hh"
 #include "telemetry/telemetry.hh"
 
@@ -73,7 +72,10 @@ Server::signalDrainRequested()
 
 Server::Server(engine::Engine &engine, ServerConfig config)
     : eng(engine), cfg(std::move(config)),
-      spans(telemetry::SpanConfig{cfg.spanSampleEvery, cfg.spanTrace})
+      spans(telemetry::SpanConfig{cfg.spanSampleEvery, cfg.spanTrace}),
+      admin({{"/stats", "application/json",
+              [this] { return statsJson(); }}},
+            draining)
 {
     if (cfg.reactorThreads == 0)
         cfg.reactorThreads = 1;
@@ -81,22 +83,6 @@ Server::Server(engine::Engine &engine, ServerConfig config)
         cfg.tickMs = 1;
     if (cfg.faults.enabled())
         injector = std::make_unique<fault::FaultInjector>(cfg.faults);
-
-    tmAccepted = telemetry::counter("net.connections.accepted");
-    tmClosed = telemetry::counter("net.connections.closed");
-    tmIdleClosed = telemetry::counter("net.connections.idle.closed");
-    tmShed = telemetry::counter("net.connections.shed");
-    tmResets = telemetry::counter("net.connections.reset");
-    tmAcceptFailures = telemetry::counter("net.accept.failures");
-    tmBytesIn = telemetry::counter("net.bytes.in");
-    tmBytesOut = telemetry::counter("net.bytes.out");
-    tmFramesIn = telemetry::counter("net.frames.in");
-    tmResponsesOut = telemetry::counter("net.responses.out");
-    tmResponsesDropped = telemetry::counter("net.responses.dropped");
-    tmResynced = telemetry::counter("net.frames.resynced");
-    tmResyncBytes = telemetry::counter("net.resync.bytes.skipped");
-    tmReadPauses = telemetry::counter("net.read.pauses");
-    tmActive = telemetry::gauge("net.connections.active");
 }
 
 Server::~Server()
@@ -116,18 +102,14 @@ Server::start()
                             std::strerror(errno)));
         return false;
     }
-    if (cfg.adminPort >= 0) {
-        adminListener = listenTcp(
-            cfg.bindAddress,
-            static_cast<std::uint16_t>(cfg.adminPort),
-            &boundAdminPort);
-        if (!adminListener.valid()) {
-            warn(detail::concat("net: admin bind ", cfg.bindAddress,
-                                ":", cfg.adminPort, " failed: ",
-                                std::strerror(errno)));
-            listener.reset();
-            return false;
-        }
+    if (cfg.adminPort >= 0 &&
+        !admin.listen(cfg.bindAddress,
+                      static_cast<std::uint16_t>(cfg.adminPort))) {
+        warn(detail::concat("net: admin bind ", cfg.bindAddress, ":",
+                            cfg.adminPort, " failed: ",
+                            std::strerror(errno)));
+        listener.reset();
+        return false;
     }
 
     reactors.clear();
@@ -200,8 +182,7 @@ Server::start()
         r->thread = std::thread([this, r] { reactorLoop(r->index); });
     }
     acceptor = std::thread([this] { acceptLoop(); });
-    if (adminListener.valid())
-        adminThread = std::thread([this] { adminLoop(); });
+    admin.start(cfg.tickMs);
     return true;
 }
 
@@ -216,16 +197,12 @@ Server::acceptPending()
                 return;
             if (errno == EINTR || errno == ECONNABORTED)
                 continue;
-            nAcceptFailures.fetch_add(1, std::memory_order_relaxed);
-            if (tmAcceptFailures)
-                tmAcceptFailures->add(1);
+            acceptFailures.add();
             return;
         }
         if (injector && injector->armed(fault::Site::AcceptFail) &&
             injector->shouldInject(fault::Site::AcceptFail)) {
-            nAcceptFailures.fetch_add(1, std::memory_order_relaxed);
-            if (tmAcceptFailures)
-                tmAcceptFailures->add(1);
+            acceptFailures.add();
             continue; // Fd closes the socket: connection refused.
         }
         setNoDelay(conn.get());
@@ -239,9 +216,7 @@ Server::acceptPending()
             reactor.pendingConnIds.push_back(id);
             reactor.flushed.store(false, std::memory_order_relaxed);
         }
-        nAccepted.fetch_add(1, std::memory_order_relaxed);
-        if (tmAccepted)
-            tmAccepted->add(1);
+        accepted.add();
         wakeReactor(reactor);
     }
 }
@@ -365,16 +340,12 @@ Server::drainInbox(Reactor &reactor)
         ev.data.u64 = conn.id;
         if (::epoll_ctl(reactor.epoll.get(), EPOLL_CTL_ADD,
                         conn.fd.get(), &ev) != 0) {
-            nClosed.fetch_add(1, std::memory_order_relaxed);
-            if (tmClosed)
-                tmClosed->add(1);
+            closed.add();
             continue;
         }
         const std::uint64_t id = conn.id;
         reactor.conns.emplace(id, std::move(conn));
-        nActive.fetch_add(1, std::memory_order_relaxed);
-        if (tmActive)
-            tmActive->add(1);
+        active.add(1);
     }
 
     for (auto &reply : replies) {
@@ -382,9 +353,7 @@ Server::drainInbox(Reactor &reactor)
         if (it == reactor.conns.end()) {
             // The connection died before its reply; account for the
             // orphaned response so conservation still balances.
-            nResponsesDropped.fetch_add(1, std::memory_order_relaxed);
-            if (tmResponsesDropped)
-                tmResponsesDropped->add(1);
+            responsesDropped.add();
             // A sampled reply that will never flush still owes its
             // write-flush record (zero: nothing was written).
             if (reply.sampled)
@@ -396,9 +365,7 @@ Server::drainInbox(Reactor &reactor)
             --conn.inFlight;
         const std::size_t backlog = conn.out.size() - conn.outOff;
         if (backlog + reply.bytes.size() > cfg.maxOutBufferBytes) {
-            nResponsesDropped.fetch_add(1, std::memory_order_relaxed);
-            if (tmResponsesDropped)
-                tmResponsesDropped->add(1);
+            responsesDropped.add();
             if (reply.sampled)
                 spans.recordStage(telemetry::Stage::WriteFlush, 0);
             continue;
@@ -409,9 +376,7 @@ Server::drainInbox(Reactor &reactor)
         if (reply.sampled)
             conn.spanWrites.emplace_back(
                 conn.outEnqueuedTotal, telemetry::monotonicNanos());
-        nResponsesOut.fetch_add(1, std::memory_order_relaxed);
-        if (tmResponsesOut)
-            tmResponsesOut->add(1);
+        responsesOut.add();
         flushOutput(reactor, conn);
         if (connDone(conn))
             closeConnection(reactor, conn.id);
@@ -435,9 +400,7 @@ Server::handleReadable(Reactor &reactor, Connection &conn,
 {
     if (injector && injector->armed(fault::Site::ConnReset) &&
         injector->shouldInject(fault::Site::ConnReset)) {
-        nResets.fetch_add(1, std::memory_order_relaxed);
-        if (tmResets)
-            tmResets->add(1);
+        resets.add();
         closeConnection(reactor, conn.id);
         return;
     }
@@ -453,9 +416,7 @@ Server::handleReadable(Reactor &reactor, Connection &conn,
         if (got > 0) {
             const auto n = static_cast<std::size_t>(got);
             conn.in.insert(conn.in.end(), buf.data(), buf.data() + n);
-            nBytesIn.fetch_add(n, std::memory_order_relaxed);
-            if (tmBytesIn)
-                tmBytesIn->add(n);
+            bytesIn.add(n);
             conn.lastActivityTick = reactor.tick;
             reactor.sawReads = true;
             // A full read leaves more bytes to read; after a short
@@ -558,16 +519,12 @@ Server::processInput(Reactor &reactor, Connection &conn,
                 conn.parkedLen = frameLen;
                 conn.parkedSpanNs = span_ns;
                 conn.paused = true;
-                nReadPauses.fetch_add(1, std::memory_order_relaxed);
-                if (tmReadPauses)
-                    tmReadPauses->add(1);
+                readPauses.add();
                 break;
             }
             if (submitted == engine::SubmitStatus::Accepted) {
                 ++conn.inFlight;
-                nFramesIn.fetch_add(1, std::memory_order_relaxed);
-                if (tmFramesIn)
-                    tmFramesIn->add(1);
+                framesIn.add();
             }
             // Rejected frames were counted by the engine (rejected
             // at the door); no reply will come, nothing in flight.
@@ -579,12 +536,8 @@ Server::processInput(Reactor &reactor, Connection &conn,
         bool complete = false;
         const std::size_t next =
             wire::findFrameBoundary(data, size, off + 1, &complete);
-        nResynced.fetch_add(1, std::memory_order_relaxed);
-        if (tmResynced)
-            tmResynced->add(1);
-        nResyncBytes.fetch_add(next - off, std::memory_order_relaxed);
-        if (tmResyncBytes)
-            tmResyncBytes->add(next - off);
+        resynced.add();
+        resyncBytes.add(next - off);
         off = next;
         if (!complete)
             break;
@@ -635,10 +588,7 @@ Server::flushOutput(Reactor &reactor, Connection &conn)
                         conn.spanWrites.front().second);
                 conn.spanWrites.pop_front();
             }
-            nBytesOut.fetch_add(static_cast<std::uint64_t>(wrote),
-                                std::memory_order_relaxed);
-            if (tmBytesOut)
-                tmBytesOut->add(static_cast<std::uint64_t>(wrote));
+            bytesOut.add(static_cast<std::uint64_t>(wrote));
             if (split)
                 break; // deliver the rest on a later tick
             continue;
@@ -705,9 +655,7 @@ Server::maintenance(Reactor &reactor, std::size_t index)
             continue;
         if (submitted == engine::SubmitStatus::Accepted) {
             ++conn.inFlight;
-            nFramesIn.fetch_add(1, std::memory_order_relaxed);
-            if (tmFramesIn)
-                tmFramesIn->add(1);
+            framesIn.add();
         }
         conn.parkedBuf.reset();
         conn.parkedOff = 0;
@@ -755,9 +703,7 @@ Server::maintenance(Reactor &reactor, std::size_t index)
     for (const std::uint64_t id : idleClose) {
         if (reactor.conns.find(id) == reactor.conns.end())
             continue;
-        nIdleClosed.fetch_add(1, std::memory_order_relaxed);
-        if (tmIdleClosed)
-            tmIdleClosed->add(1);
+        idleClosed.add();
         closeConnection(reactor, id);
     }
     // When the idle sweep retires connections, retire the engine
@@ -779,9 +725,7 @@ Server::maintenance(Reactor &reactor, std::size_t index)
                     victim = id;
             }
             if (victim != 0) {
-                nShed.fetch_add(1, std::memory_order_relaxed);
-                if (tmShed)
-                    tmShed->add(1);
+                shed.add();
                 closeConnection(reactor, victim);
             }
         }
@@ -836,12 +780,8 @@ Server::closeConnection(Reactor &reactor, std::uint64_t conn_id)
     // Replies still owed to this connection will find it gone and be
     // counted as dropped when they arrive (drainInbox).
     reactor.conns.erase(it); // Fd close drops the epoll entry
-    nClosed.fetch_add(1, std::memory_order_relaxed);
-    if (tmClosed)
-        tmClosed->add(1);
-    nActive.fetch_sub(1, std::memory_order_relaxed);
-    if (tmActive)
-        tmActive->add(-1);
+    closed.add();
+    active.add(-1);
 }
 
 std::string
@@ -904,137 +844,6 @@ Server::statsJson() const
         statsAugmenter(os);
     os << '}';
     return os.str();
-}
-
-std::string
-Server::adminResponse(const std::string &path, int &status) const
-{
-    if (path == "/healthz") {
-        if (draining.load(std::memory_order_relaxed)) {
-            status = 503;
-            return "draining\n";
-        }
-        status = 200;
-        return "ok\n";
-    }
-    if (path == "/metrics") {
-        status = 200;
-        std::ostringstream os;
-        if (telemetry::MetricRegistry *registry =
-                telemetry::attachedRegistry())
-            telemetry::writePrometheus(os, registry->snapshot());
-        else
-            os << "# telemetry registry not attached\n";
-        return os.str();
-    }
-    if (path == "/stats") {
-        status = 200;
-        return statsJson();
-    }
-    status = 404;
-    return "not found\n";
-}
-
-void
-Server::serveAdminRequest(Fd &conn)
-{
-    using Clock = std::chrono::steady_clock;
-    // Bounded request read: admin clients are local tools, but a
-    // slow, oversized or malformed request must not wedge the admin
-    // thread (one request at a time is the whole concurrency model).
-    std::string request;
-    char buf[1024];
-    const auto readDeadline =
-        Clock::now() + std::chrono::milliseconds(250);
-    while (request.find('\n') == std::string::npos &&
-           request.size() < 4096 && Clock::now() < readDeadline) {
-        pollfd pfd{conn.get(), POLLIN, 0};
-        if (::poll(&pfd, 1, 50) <= 0)
-            continue;
-        const ssize_t got = ::read(conn.get(), buf, sizeof(buf));
-        if (got > 0) {
-            request.append(buf, static_cast<std::size_t>(got));
-            continue;
-        }
-        if (got == 0)
-            break;
-        if (errno == EINTR || errno == EAGAIN ||
-            errno == EWOULDBLOCK)
-            continue;
-        return;
-    }
-
-    int status = 400;
-    std::string body = "bad request\n";
-    std::string path;
-    if (request.rfind("GET ", 0) == 0) {
-        const std::size_t end = request.find_first_of(" \r\n", 4);
-        if (end != std::string::npos && end > 4) {
-            path = request.substr(4, end - 4);
-            body = adminResponse(path, status);
-        }
-    }
-
-    const char *reason = status == 200  ? "OK"
-                         : status == 404 ? "Not Found"
-                         : status == 503 ? "Service Unavailable"
-                                         : "Bad Request";
-    const char *contentType =
-        path == "/stats" ? "application/json"
-        : path == "/metrics"
-            ? "text/plain; version=0.0.4; charset=utf-8"
-            : "text/plain; charset=utf-8";
-    std::ostringstream os;
-    os << "HTTP/1.0 " << status << ' ' << reason << "\r\n"
-       << "Content-Type: " << contentType << "\r\n"
-       << "Content-Length: " << body.size() << "\r\n"
-       << "Connection: close\r\n\r\n"
-       << body;
-    const std::string response = os.str();
-
-    std::size_t off = 0;
-    const auto writeDeadline =
-        Clock::now() + std::chrono::milliseconds(500);
-    while (off < response.size() && Clock::now() < writeDeadline) {
-        const ssize_t wrote = ::send(
-            conn.get(), response.data() + off, response.size() - off,
-            MSG_NOSIGNAL);
-        if (wrote > 0) {
-            off += static_cast<std::size_t>(wrote);
-            continue;
-        }
-        if (wrote < 0 &&
-            (errno == EAGAIN || errno == EWOULDBLOCK)) {
-            pollfd pfd{conn.get(), POLLOUT, 0};
-            ::poll(&pfd, 1, 50);
-            continue;
-        }
-        if (wrote < 0 && errno == EINTR)
-            continue;
-        break;
-    }
-}
-
-void
-Server::adminLoop()
-{
-    // One request per connection, one connection at a time: the
-    // admin plane serves a curl or engine_top poll every few hundred
-    // milliseconds, not traffic. It keeps serving during drain() -
-    // that is when /healthz flipping to 503 matters most - and exits
-    // on stop().
-    while (!stopping.load()) {
-        pollfd pfd{adminListener.get(), POLLIN, 0};
-        const int ready =
-            ::poll(&pfd, 1, static_cast<int>(cfg.tickMs));
-        if (ready <= 0)
-            continue;
-        Fd conn(::accept4(adminListener.get(), nullptr, nullptr,
-                          SOCK_NONBLOCK));
-        if (!conn.valid())
-            continue;
-        serveAdminRequest(conn);
-    }
 }
 
 void
@@ -1105,9 +914,7 @@ Server::stop()
         wakeReactor(*reactor);
     if (acceptor.joinable())
         acceptor.join();
-    if (adminThread.joinable())
-        adminThread.join();
-    adminListener.reset();
+    admin.stop();
     for (auto &reactor : reactors) {
         if (reactor->thread.joinable())
             reactor->thread.join();
@@ -1129,12 +936,8 @@ Server::stop()
         reactor->conns.clear();
     }
     if (open > 0) {
-        nClosed.fetch_add(open, std::memory_order_relaxed);
-        if (tmClosed)
-            tmClosed->add(open);
-        nActive.fetch_sub(open, std::memory_order_relaxed);
-        if (tmActive)
-            tmActive->add(-static_cast<std::int64_t>(open));
+        closed.add(open);
+        active.add(-static_cast<std::int64_t>(open));
     }
     started.store(false);
 }
@@ -1143,26 +946,21 @@ NetStats
 Server::stats() const
 {
     NetStats stats;
-    stats.accepted = nAccepted.load(std::memory_order_relaxed);
-    stats.closed = nClosed.load(std::memory_order_relaxed);
-    stats.idleClosed = nIdleClosed.load(std::memory_order_relaxed);
-    stats.shed = nShed.load(std::memory_order_relaxed);
-    stats.resets = nResets.load(std::memory_order_relaxed);
-    stats.acceptFailures =
-        nAcceptFailures.load(std::memory_order_relaxed);
-    stats.bytesIn = nBytesIn.load(std::memory_order_relaxed);
-    stats.bytesOut = nBytesOut.load(std::memory_order_relaxed);
-    stats.framesIn = nFramesIn.load(std::memory_order_relaxed);
-    stats.responsesOut =
-        nResponsesOut.load(std::memory_order_relaxed);
-    stats.responsesDropped =
-        nResponsesDropped.load(std::memory_order_relaxed);
-    stats.framesResynced = nResynced.load(std::memory_order_relaxed);
-    stats.resyncBytesSkipped =
-        nResyncBytes.load(std::memory_order_relaxed);
-    stats.readPauses = nReadPauses.load(std::memory_order_relaxed);
-    stats.activeConnections = static_cast<std::size_t>(
-        nActive.load(std::memory_order_relaxed));
+    stats.accepted = accepted.get();
+    stats.closed = closed.get();
+    stats.idleClosed = idleClosed.get();
+    stats.shed = shed.get();
+    stats.resets = resets.get();
+    stats.acceptFailures = acceptFailures.get();
+    stats.bytesIn = bytesIn.get();
+    stats.bytesOut = bytesOut.get();
+    stats.framesIn = framesIn.get();
+    stats.responsesOut = responsesOut.get();
+    stats.responsesDropped = responsesDropped.get();
+    stats.framesResynced = resynced.get();
+    stats.resyncBytesSkipped = resyncBytes.get();
+    stats.readPauses = readPauses.get();
+    stats.activeConnections = static_cast<std::size_t>(active.get());
     return stats;
 }
 

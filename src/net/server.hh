@@ -60,18 +60,14 @@
 
 #include "dynamo/flush.hh"
 #include "engine/engine.hh"
+#include "net/admin_endpoint.hh"
 #include "net/socket.hh"
 #include "support/fault_injector.hh"
 #include "telemetry/span.hh"
+#include "telemetry/stat.hh"
 
 namespace hotpath
 {
-
-namespace telemetry
-{
-class Counter;
-class Gauge;
-} // namespace telemetry
 
 namespace net
 {
@@ -143,9 +139,9 @@ struct ServerConfig
      * Admin (introspection) HTTP listener port: -1 disables it, 0
      * binds an ephemeral port (read it back with
      * Server::adminPort()). The listener binds `bindAddress` on a
-     * thread of its own and serves plain HTTP/1.0 GETs: /metrics
-     * (Prometheus text), /healthz (drain state) and /stats (flat
-     * JSON counters consumed by examples/engine_top).
+     * thread of its own (net::AdminEndpoint) and serves GETs of
+     * /metrics (Prometheus text), /healthz (drain state) and /stats
+     * (flat JSON counters consumed by examples/engine_top).
      */
     int adminPort = -1;
 
@@ -219,7 +215,7 @@ class Server
 
     /** The bound admin port (valid after start() when
      *  ServerConfig::adminPort >= 0; otherwise 0). */
-    std::uint16_t adminPort() const { return boundAdminPort; }
+    std::uint16_t adminPort() const { return admin.port(); }
 
     /** The server's stage-span recorder (disabled unless
      *  ServerConfig::spanSampleEvery != 0). */
@@ -394,15 +390,6 @@ class Server
      *  will never flush (close/teardown), keeping the per-stage
      *  sample counts conserved. */
     void settlePendingSpans(Connection &conn);
-    /** Admin listener thread: accept + serve one HTTP GET at a
-     *  time. */
-    void adminLoop();
-    /** Serve one admin connection (read request, write response,
-     *  close). */
-    void serveAdminRequest(Fd &conn);
-    /** Response body + status for an admin request path. */
-    std::string adminResponse(const std::string &path,
-                              int &status) const;
     /** The /stats document: flat JSON (scalars and flat numeric
      *  arrays only, so engine_top can scan it without a JSON
      *  parser). */
@@ -417,9 +404,6 @@ class Server
     std::function<void(std::ostream &)> statsAugmenter;
     Fd listener;
     std::uint16_t boundPort = 0;
-    Fd adminListener;
-    std::uint16_t boundAdminPort = 0;
-    std::thread adminThread;
     std::thread acceptor;
     std::vector<std::unique_ptr<Reactor>> reactors;
     std::atomic<bool> stopping{false};
@@ -427,39 +411,27 @@ class Server
     std::atomic<bool> started{false};
     std::atomic<std::uint64_t> nextConnId{1};
 
-    // Aggregates (relaxed atomics, read by stats()).
-    std::atomic<std::uint64_t> nAccepted{0};
-    std::atomic<std::uint64_t> nClosed{0};
-    std::atomic<std::uint64_t> nIdleClosed{0};
-    std::atomic<std::uint64_t> nShed{0};
-    std::atomic<std::uint64_t> nResets{0};
-    std::atomic<std::uint64_t> nAcceptFailures{0};
-    std::atomic<std::uint64_t> nBytesIn{0};
-    std::atomic<std::uint64_t> nBytesOut{0};
-    std::atomic<std::uint64_t> nFramesIn{0};
-    std::atomic<std::uint64_t> nResponsesOut{0};
-    std::atomic<std::uint64_t> nResponsesDropped{0};
-    std::atomic<std::uint64_t> nResynced{0};
-    std::atomic<std::uint64_t> nResyncBytes{0};
-    std::atomic<std::uint64_t> nReadPauses{0};
-    std::atomic<std::uint64_t> nActive{0};
+    // Serving stats (read by stats()); each also bumps the net.*
+    // instrument of its name (telemetry/stat.hh).
+    telemetry::CounterStat accepted{"net.connections.accepted"};
+    telemetry::CounterStat closed{"net.connections.closed"};
+    telemetry::CounterStat idleClosed{"net.connections.idle.closed"};
+    telemetry::CounterStat shed{"net.connections.shed"};
+    telemetry::CounterStat resets{"net.connections.reset"};
+    telemetry::CounterStat acceptFailures{"net.accept.failures"};
+    telemetry::CounterStat bytesIn{"net.bytes.in"};
+    telemetry::CounterStat bytesOut{"net.bytes.out"};
+    telemetry::CounterStat framesIn{"net.frames.in"};
+    telemetry::CounterStat responsesOut{"net.responses.out"};
+    telemetry::CounterStat responsesDropped{"net.responses.dropped"};
+    telemetry::CounterStat resynced{"net.frames.resynced"};
+    telemetry::CounterStat resyncBytes{"net.resync.bytes.skipped"};
+    telemetry::CounterStat readPauses{"net.read.pauses"};
+    telemetry::GaugeStat active{"net.connections.active"};
 
-    // Telemetry handles; nullptr when telemetry is not attached.
-    telemetry::Counter *tmAccepted = nullptr;
-    telemetry::Counter *tmClosed = nullptr;
-    telemetry::Counter *tmIdleClosed = nullptr;
-    telemetry::Counter *tmShed = nullptr;
-    telemetry::Counter *tmResets = nullptr;
-    telemetry::Counter *tmAcceptFailures = nullptr;
-    telemetry::Counter *tmBytesIn = nullptr;
-    telemetry::Counter *tmBytesOut = nullptr;
-    telemetry::Counter *tmFramesIn = nullptr;
-    telemetry::Counter *tmResponsesOut = nullptr;
-    telemetry::Counter *tmResponsesDropped = nullptr;
-    telemetry::Counter *tmResynced = nullptr;
-    telemetry::Counter *tmResyncBytes = nullptr;
-    telemetry::Counter *tmReadPauses = nullptr;
-    telemetry::Gauge *tmActive = nullptr;
+    /** /metrics, /healthz and /stats (ServerConfig::adminPort).
+     *  Declared last: its thread reads the members above. */
+    AdminEndpoint admin;
 };
 
 } // namespace net

@@ -968,6 +968,37 @@ TEST(ClusterRouter, ZeroBackendsSynthesizesEmptyReplies)
     EXPECT_EQ(stats.backendsLive, 0u);
 }
 
+TEST(ClusterRouter, StopCountsOpenConnectionsAsClosed)
+{
+    // A client still connected at stop() is closed by the teardown;
+    // like net::Server, the router must count that close, so the
+    // ledger settles (closed == accepted) and the active count and
+    // its gauge fall back to zero.
+    telemetry::TelemetrySession session("");
+    Fleet fleet(1);
+    cluster::Router router(testRouterConfig(fleet));
+    ASSERT_TRUE(router.start());
+
+    net::ClientConfig clientCfg;
+    clientCfg.port = router.port();
+    net::Client client(clientCfg);
+    ASSERT_TRUE(client.connect());
+    const auto frames = makeFrames(5, 0, 4, 16);
+    for (const auto &frame : frames)
+        ASSERT_TRUE(client.sendFrame(frame.data(), frame.size()));
+    std::vector<net::PredictionReply> replies;
+    ASSERT_TRUE(client.awaitResponses(frames.size(), replies));
+
+    router.stop();
+    const cluster::RouterStats stats = router.stats();
+    EXPECT_EQ(stats.accepted, 1u);
+    EXPECT_EQ(stats.closed, stats.accepted);
+    EXPECT_EQ(stats.activeConnections, 0u);
+    EXPECT_EQ(
+        session.registry().gauge("cluster.connections.active").get(),
+        0);
+}
+
 TEST(ClusterRouter, AdminEndpointServesMetricsTopologyAndStats)
 {
     // Attach telemetry before anything registers, so /metrics sees

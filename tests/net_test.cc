@@ -22,6 +22,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstdint>
@@ -33,6 +34,7 @@
 
 #include "engine/engine.hh"
 #include "engine/wire_format.hh"
+#include "net/admin_endpoint.hh"
 #include "net/client.hh"
 #include "net/server.hh"
 #include "net/socket.hh"
@@ -977,6 +979,51 @@ TEST(AdminEndpoint, SurvivesMalformedRequests)
     EXPECT_NE(health.find("HTTP/1.0 200 OK"), std::string::npos);
 
     server.stop();
+}
+
+TEST(AdminEndpoint, RouteTableAnswersByteForByte)
+{
+    // The exact bytes every admin response is made of: status line,
+    // Content-Type by route, Content-Length and Connection: close.
+    std::atomic<bool> draining{false};
+    net::AdminEndpoint admin(
+        {{"/stats", "application/json",
+          [] { return std::string("{\"n\":1}"); }}},
+        draining);
+    EXPECT_EQ(admin.port(), 0u);
+
+    const auto response = [](const std::string &status,
+                             const std::string &type,
+                             const std::string &body) {
+        return "HTTP/1.0 " + status + "\r\nContent-Type: " + type +
+               "\r\nContent-Length: " + std::to_string(body.size()) +
+               "\r\nConnection: close\r\n\r\n" + body;
+    };
+    const std::string plain = "text/plain; charset=utf-8";
+    EXPECT_EQ(admin.respond("GET /stats HTTP/1.0\r\n\r\n"),
+              response("200 OK", "application/json", "{\"n\":1}"));
+    EXPECT_EQ(admin.respond("GET /healthz HTTP/1.0\r\n"),
+              response("200 OK", plain, "ok\n"));
+    EXPECT_EQ(admin.respond("GET /topology HTTP/1.0\r\n"),
+              response("404 Not Found", plain, "not found\n"));
+    EXPECT_EQ(admin.respond("POST /stats HTTP/1.0\r\n"),
+              response("400 Bad Request", plain, "bad request\n"));
+    // A path with no terminator never finished arriving.
+    EXPECT_EQ(admin.respond("GET /stats"),
+              response("400 Bad Request", plain, "bad request\n"));
+    EXPECT_EQ(admin.respond("GET  HTTP/1.0\r\n"),
+              response("400 Bad Request", plain, "bad request\n"));
+
+    draining = true;
+    EXPECT_EQ(admin.respond("GET /healthz HTTP/1.0\r\n"),
+              response("503 Service Unavailable", plain,
+                       "draining\n"));
+
+    // Without listen() there is nothing to serve: start() is a no-op
+    // and stop() is idempotent.
+    admin.start(1);
+    admin.stop();
+    admin.stop();
 }
 
 // Zero-copy ingest: many frames coalesced into one socket write

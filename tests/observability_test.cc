@@ -18,11 +18,14 @@
 
 #include <algorithm>
 #include <cctype>
+#include <chrono>
 #include <cstdint>
 #include <iterator>
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -30,6 +33,8 @@
 #include "cluster/router.hh"
 #include "control/controller.hh"
 #include "engine/engine.hh"
+#include "engine/wire_format.hh"
+#include "net/client.hh"
 #include "net/server.hh"
 #include "support/fault_injector.hh"
 #include "telemetry/run_report.hh"
@@ -197,6 +202,63 @@ observedInstruments(const telemetry::MetricsSnapshot &snapshot)
     return names;
 }
 
+/** `count` PathEvents frames for `session` (sequences 0..count-1),
+ *  concatenated into one buffer. */
+std::vector<std::uint8_t>
+eventFrames(std::uint64_t session, std::size_t count)
+{
+    std::vector<std::uint8_t> bytes;
+    for (std::size_t f = 0; f < count; ++f) {
+        std::vector<PathEvent> events;
+        for (std::uint32_t i = 0; i < 24; ++i) {
+            PathEvent event;
+            event.head = i % 4;
+            event.path = event.head * 10;
+            event.blocks = 4;
+            event.branches = 3;
+            event.instructions = 30;
+            events.push_back(event);
+        }
+        wire::appendEventFrame(bytes, session, f, events);
+    }
+    return bytes;
+}
+
+/** Connect to `port`, send `bytes` and wait for `replies` answers. */
+void
+sendAndAwait(std::uint16_t port, const std::vector<std::uint8_t> &bytes,
+             std::size_t replies)
+{
+    net::ClientConfig config;
+    config.port = port;
+    net::Client client(config);
+    ASSERT_TRUE(client.connect());
+    ASSERT_TRUE(client.sendFrame(bytes.data(), bytes.size()));
+    std::vector<net::PredictionReply> got;
+    ASSERT_TRUE(client.awaitResponses(replies, got));
+}
+
+std::uint64_t
+counterValue(telemetry::TelemetrySession &session, const char *name)
+{
+    return session.registry().counter(name).get();
+}
+
+std::int64_t
+gaugeValue(telemetry::TelemetrySession &session, const char *name)
+{
+    return session.registry().gauge(name).get();
+}
+
+net::ServerConfig
+fastServerConfig()
+{
+    net::ServerConfig config;
+    config.tickMs = 2;
+    config.reactorThreads = 1;
+    return config;
+}
+
 } // namespace
 
 TEST(ObservabilityAudit, EveryInstrumentRegistersEagerlyAtZero)
@@ -310,5 +372,235 @@ TEST(ObservabilityAudit, SpanDisabledServerSkipsStageHistograms)
                   std::string::npos)
             << hist.name << " registered with sampling disabled";
 
+    eng.shutdown();
+}
+
+// The registry is process-wide while every *Stats struct belongs to
+// one instance: two engines, each behind its own server, each report
+// their own frames, and every instrument they share reads the sum.
+TEST(ObservabilityStats, InstrumentsSumOverInstancesStatsDoNot)
+{
+    telemetry::TelemetrySession session;
+
+    engine::EngineConfig engineCfg;
+    engineCfg.workerThreads = 1;
+    engineCfg.sessions.shardCount = 2;
+    engine::Engine engineA(engineCfg);
+    engine::Engine engineB(engineCfg);
+    net::Server serverA(engineA, fastServerConfig());
+    net::Server serverB(engineB, fastServerConfig());
+    ASSERT_TRUE(serverA.start());
+    ASSERT_TRUE(serverB.start());
+
+    sendAndAwait(serverA.port(), eventFrames(1, 5), 5);
+    sendAndAwait(serverB.port(), eventFrames(2, 3), 3);
+    serverA.stop();
+    serverB.stop();
+
+    const engine::EngineStats a = engineA.stats();
+    const engine::EngineStats b = engineB.stats();
+    EXPECT_EQ(a.framesDecoded, 5u);
+    EXPECT_EQ(b.framesDecoded, 3u);
+    EXPECT_EQ(counterValue(session, "engine.frames.decoded"), 8u);
+    EXPECT_EQ(counterValue(session, "engine.events"),
+              a.eventsProcessed + b.eventsProcessed);
+    EXPECT_EQ(counterValue(session, "engine.predictions"),
+              a.predictions + b.predictions);
+    EXPECT_EQ(counterValue(session, "engine.sessions.created"), 2u);
+    EXPECT_EQ(a.sessionsCreated, 1u);
+    EXPECT_EQ(b.sessionsCreated, 1u);
+
+    const net::NetStats na = serverA.stats();
+    const net::NetStats nb = serverB.stats();
+    EXPECT_EQ(na.framesIn, 5u);
+    EXPECT_EQ(nb.framesIn, 3u);
+    EXPECT_EQ(counterValue(session, "net.frames.in"), 8u);
+    EXPECT_EQ(counterValue(session, "net.responses.out"), 8u);
+    EXPECT_EQ(counterValue(session, "net.bytes.in"),
+              na.bytesIn + nb.bytesIn);
+    EXPECT_EQ(counterValue(session, "net.connections.accepted"), 2u);
+    EXPECT_EQ(counterValue(session, "net.connections.closed"), 2u);
+    EXPECT_EQ(gaugeValue(session, "net.connections.active"), 0);
+}
+
+// With one engine, one server and one router in the process, every
+// scalar *Stats field that has an instrument must equal it once the
+// stack is drained.
+TEST(ObservabilityStats, EveryInstrumentedScalarMatchesItsInstrument)
+{
+    telemetry::TelemetrySession session;
+
+    // Watchdog on: the resilience instruments register too.
+    engine::EngineConfig engineCfg;
+    engineCfg.workerThreads = 2;
+    engineCfg.sessions.shardCount = 4;
+    engineCfg.watchdogIntervalMs = 50;
+    engine::Engine eng(engineCfg);
+    net::Server server(eng, fastServerConfig());
+    ASSERT_TRUE(server.start());
+
+    cluster::RouterConfig routerCfg;
+    routerCfg.backends = {{"127.0.0.1", server.port()}};
+    routerCfg.tickMs = 2;
+    cluster::Router router(routerCfg);
+    ASSERT_TRUE(router.start());
+
+    // Line noise ahead of the frames makes both tiers resync.
+    const std::vector<std::uint8_t> noise(40, 0xAB);
+    std::vector<std::uint8_t> routed = noise;
+    for (std::uint64_t session_id = 1; session_id <= 3; ++session_id) {
+        const auto frames = eventFrames(session_id, 4);
+        routed.insert(routed.end(), frames.begin(), frames.end());
+    }
+    std::vector<std::uint8_t> direct = noise;
+    const auto frames = eventFrames(9, 2);
+    direct.insert(direct.end(), frames.begin(), frames.end());
+
+    net::ClientConfig clientCfg;
+    clientCfg.port = router.port();
+    net::Client viaRouter(clientCfg);
+    ASSERT_TRUE(viaRouter.connect());
+    ASSERT_TRUE(viaRouter.sendFrame(routed.data(), routed.size()));
+    std::vector<net::PredictionReply> replies;
+    ASSERT_TRUE(viaRouter.awaitResponses(12, replies));
+    sendAndAwait(server.port(), direct, 2);
+
+    // A load hint re-weights the only backend: a rehash, no move.
+    router.setBackendWeights({{0, 500}});
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (router.stats().weightUpdates == 0 &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+
+    router.drain();
+    server.drain();
+
+    const engine::EngineStats es = eng.stats();
+    const std::vector<std::pair<const char *, std::uint64_t>>
+        engineCounters = {
+            {"engine.frames.decoded", es.framesDecoded},
+            {"engine.frames.rejected", es.framesRejected},
+            {"engine.events", es.eventsProcessed},
+            {"engine.predictions", es.predictions},
+            {"engine.frames.inline", es.framesInline},
+            {"engine.backpressure.waits", es.backpressureWaits},
+            {"engine.sessions.created", es.sessionsCreated},
+            {"engine.sessions.evicted", es.sessionsEvicted},
+            {"engine.sessions.evicted.idle", es.sessionsIdleEvicted},
+            {"engine.sessions.exported", es.sessionsExported},
+            {"engine.sessions.imported", es.sessionsImported},
+            {"engine.fault.frames.corrupted", es.fault.corruptFrames},
+            {"engine.fault.sessions.poisoned",
+             es.fault.sessionsPoisoned},
+            {"engine.fault.worker.stalled", es.fault.workersStalled},
+            {"engine.recovered.frames.quarantined",
+             es.fault.framesQuarantined},
+            {"engine.recovered.frames.delayed.delivered",
+             es.fault.delayedDelivered},
+            {"engine.recovered.sessions.rebuilt",
+             es.fault.sessionsRebuilt},
+            {"engine.recovered.sessions.readmitted",
+             es.fault.sessionsReadmitted},
+            {"engine.recovered.backoff.frames",
+             es.fault.backoffDroppedFrames},
+            {"engine.recovered.shed.frames", es.fault.shedFrames},
+            {"engine.recovered.worker.unstalled",
+             es.fault.workersUnstalled},
+        };
+    for (const auto &[name, value] : engineCounters)
+        EXPECT_EQ(counterValue(session, name), value) << name;
+    EXPECT_EQ(gaugeValue(session, "engine.sessions.live"),
+              static_cast<std::int64_t>(es.sessionsLive));
+    EXPECT_EQ(es.framesDecoded, 14u);
+    EXPECT_EQ(es.sessionsLive, 4u);
+
+    const net::NetStats ns = server.stats();
+    const std::vector<std::pair<const char *, std::uint64_t>>
+        netCounters = {
+            {"net.connections.accepted", ns.accepted},
+            {"net.connections.closed", ns.closed},
+            {"net.connections.idle.closed", ns.idleClosed},
+            {"net.connections.shed", ns.shed},
+            {"net.connections.reset", ns.resets},
+            {"net.accept.failures", ns.acceptFailures},
+            {"net.bytes.in", ns.bytesIn},
+            {"net.bytes.out", ns.bytesOut},
+            {"net.frames.in", ns.framesIn},
+            {"net.responses.out", ns.responsesOut},
+            {"net.responses.dropped", ns.responsesDropped},
+            {"net.frames.resynced", ns.framesResynced},
+            {"net.resync.bytes.skipped", ns.resyncBytesSkipped},
+            {"net.read.pauses", ns.readPauses},
+        };
+    for (const auto &[name, value] : netCounters)
+        EXPECT_EQ(counterValue(session, name), value) << name;
+    EXPECT_EQ(gaugeValue(session, "net.connections.active"),
+              static_cast<std::int64_t>(ns.activeConnections));
+    EXPECT_EQ(ns.framesIn, 14u);
+    EXPECT_EQ(ns.framesResynced, 1u);
+
+    const cluster::RouterStats rs = router.stats();
+    const std::vector<std::pair<const char *, std::uint64_t>>
+        routerCounters = {
+            {"cluster.connections.accepted", rs.accepted},
+            {"cluster.connections.closed", rs.closed},
+            {"cluster.frames.in", rs.framesIn},
+            {"cluster.frames.routed", rs.framesRouted},
+            {"cluster.frames.replayed", rs.framesReplayed},
+            {"cluster.migration.frames", rs.migrationFrames},
+            {"cluster.migration.bytes", rs.migrationBytes},
+            {"cluster.responses.out", rs.responsesOut},
+            {"cluster.responses.synthesized", rs.responsesSynthesized},
+            {"cluster.responses.dropped", rs.responsesDropped},
+            {"cluster.frames.resynced", rs.framesResynced},
+            {"cluster.resync.bytes.skipped", rs.resyncBytesSkipped},
+            {"cluster.rehash.events", rs.rehashes},
+            {"cluster.weight.updates", rs.weightUpdates},
+            {"cluster.sessions.migrated", rs.sessionsMigrated},
+            {"cluster.backend.reconnects", rs.backendReconnects},
+            {"cluster.failovers", rs.failovers},
+        };
+    for (const auto &[name, value] : routerCounters)
+        EXPECT_EQ(counterValue(session, name), value) << name;
+    const std::vector<std::pair<const char *, std::size_t>>
+        routerGauges = {
+            {"cluster.connections.active", rs.activeConnections},
+            {"cluster.backends.live", rs.backendsLive},
+            {"cluster.backend.inflight", rs.inFlightTotal},
+            {"cluster.frames.parked", rs.parkedFrames},
+        };
+    for (const auto &[name, value] : routerGauges)
+        EXPECT_EQ(gaugeValue(session, name),
+                  static_cast<std::int64_t>(value))
+            << name;
+    EXPECT_EQ(rs.framesIn, 12u);
+    EXPECT_EQ(rs.framesResynced, 1u);
+    EXPECT_EQ(rs.weightUpdates, 1u);
+
+    router.stop();
+    server.stop();
+    eng.shutdown();
+}
+
+// Resilience instruments register only when a resilience feature is
+// on, so a default engine leaves RunReports exactly as they were.
+TEST(ObservabilityStats, DefaultEngineRegistersNoResilienceInstruments)
+{
+    telemetry::TelemetrySession session;
+    engine::Engine eng(engine::EngineConfig{});
+    const std::vector<std::uint8_t> frames = eventFrames(1, 3);
+    ASSERT_EQ(eng.submitBuffer(frames.data(), frames.size()), 3u);
+    eng.drain();
+
+    const telemetry::MetricsSnapshot snapshot =
+        session.registry().snapshot();
+    for (const auto &counter : snapshot.counters) {
+        EXPECT_NE(counter.name.rfind("engine.fault.", 0), 0u)
+            << counter.name;
+        EXPECT_NE(counter.name.rfind("engine.recovered.", 0), 0u)
+            << counter.name;
+    }
+    EXPECT_EQ(counterValue(session, "engine.frames.decoded"), 3u);
     eng.shutdown();
 }
