@@ -81,10 +81,6 @@
  *   --telemetry-out=<path> RunReport with netload.* gauges
  */
 
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <array>
 #include <atomic>
@@ -102,9 +98,9 @@
 #include "control/controller.hh"
 #include "engine/engine.hh"
 #include "engine/wire_format.hh"
+#include "net/admin_endpoint.hh"
 #include "net/client.hh"
 #include "net/server.hh"
-#include "net/socket.hh"
 #include "support/fault_injector.hh"
 #include "support/random.hh"
 #include "support/table.hh"
@@ -286,56 +282,6 @@ runConnection(const LoadConfig &cfg, std::size_t conn_index)
         recordReplies();
     }
     return result;
-}
-
-/** One blocking HTTP/1.0 GET against an admin port; returns the
- *  full response ("" on any failure). Used to prove the router's
- *  introspection endpoint stays live through a cluster run. */
-std::string
-adminGet(std::uint16_t port, const std::string &path)
-{
-    net::Fd fd = net::connectTcp("127.0.0.1", port);
-    if (!fd.valid())
-        return "";
-    const std::string request = "GET " + path + " HTTP/1.0\r\n\r\n";
-    std::size_t off = 0;
-    const auto deadline =
-        Clock::now() + std::chrono::milliseconds(2000);
-    while (off < request.size() && Clock::now() < deadline) {
-        const ssize_t wrote =
-            ::send(fd.get(), request.data() + off,
-                   request.size() - off, MSG_NOSIGNAL);
-        if (wrote > 0) {
-            off += static_cast<std::size_t>(wrote);
-            continue;
-        }
-        if (wrote < 0 && (errno == EINTR || errno == EAGAIN ||
-                          errno == EWOULDBLOCK)) {
-            pollfd pfd{fd.get(), POLLOUT, 0};
-            ::poll(&pfd, 1, 20);
-            continue;
-        }
-        return "";
-    }
-    std::string response;
-    char buf[4096];
-    while (Clock::now() < deadline) {
-        const ssize_t got = ::read(fd.get(), buf, sizeof(buf));
-        if (got > 0) {
-            response.append(buf, static_cast<std::size_t>(got));
-            continue;
-        }
-        if (got == 0)
-            break;
-        if (errno == EAGAIN || errno == EWOULDBLOCK) {
-            pollfd pfd{fd.get(), POLLIN, 0};
-            ::poll(&pfd, 1, 20);
-            continue;
-        }
-        if (errno != EINTR)
-            return "";
-    }
-    return response;
 }
 
 } // namespace
@@ -563,12 +509,14 @@ main(int argc, char **argv)
     // after a clean drain.
     bool adminOk = true;
     if (clustered) {
-        const std::string health =
-            adminGet(router->adminPort(), "/healthz");
-        const std::string metrics =
-            adminGet(router->adminPort(), "/metrics");
-        const std::string statsBody =
-            adminGet(router->adminPort(), "/stats");
+        const auto adminGet = [&](const std::string &path) {
+            return net::httpRequest("127.0.0.1", router->adminPort(),
+                                    "GET " + path + " HTTP/1.0\r\n\r\n",
+                                    2000);
+        };
+        const std::string health = adminGet("/healthz");
+        const std::string metrics = adminGet("/metrics");
+        const std::string statsBody = adminGet("/stats");
         // /metrics serves Prometheus text only when a telemetry
         // registry is attached (--telemetry-out); it must answer
         // either way. /stats always carries the router counters.

@@ -33,11 +33,6 @@
  *   --no-clear             do not clear the screen between refreshes
  */
 
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -48,7 +43,7 @@
 #include <vector>
 
 #include "control/classifier.hh"
-#include "net/socket.hh"
+#include "net/admin_endpoint.hh"
 #include "support/table.hh"
 #include "telemetry/span.hh"
 
@@ -82,57 +77,10 @@ hasFlag(int argc, char **argv, const char *flag)
  *  failure - connection refused, timeout, short response). */
 std::string
 httpGet(const std::string &host, std::uint16_t port,
-        const std::string &path, int timeout_ms)
+        const std::string &path, std::uint64_t timeout_ms)
 {
-    net::Fd fd = net::connectTcp(host, port);
-    if (!fd.valid())
-        return "";
-
-    const std::string request =
-        "GET " + path + " HTTP/1.0\r\n\r\n";
-    std::size_t off = 0;
-    using Clock = std::chrono::steady_clock;
-    const auto deadline =
-        Clock::now() + std::chrono::milliseconds(timeout_ms);
-    while (off < request.size() && Clock::now() < deadline) {
-        const ssize_t wrote =
-            ::send(fd.get(), request.data() + off,
-                   request.size() - off, MSG_NOSIGNAL);
-        if (wrote > 0) {
-            off += static_cast<std::size_t>(wrote);
-            continue;
-        }
-        if (wrote < 0 &&
-            (errno == EAGAIN || errno == EWOULDBLOCK)) {
-            pollfd pfd{fd.get(), POLLOUT, 0};
-            ::poll(&pfd, 1, 20);
-            continue;
-        }
-        if (wrote < 0 && errno == EINTR)
-            continue;
-        return "";
-    }
-
-    std::string response;
-    char buf[4096];
-    while (Clock::now() < deadline) {
-        const ssize_t got = ::read(fd.get(), buf, sizeof(buf));
-        if (got > 0) {
-            response.append(buf, static_cast<std::size_t>(got));
-            continue;
-        }
-        if (got == 0)
-            break; // server closed: response complete
-        if (errno == EAGAIN || errno == EWOULDBLOCK) {
-            pollfd pfd{fd.get(), POLLIN, 0};
-            ::poll(&pfd, 1, 20);
-            continue;
-        }
-        if (errno == EINTR)
-            continue;
-        return "";
-    }
-
+    const std::string response = net::httpRequest(
+        host, port, "GET " + path + " HTTP/1.0\r\n\r\n", timeout_ms);
     const std::size_t body = response.find("\r\n\r\n");
     if (body == std::string::npos ||
         response.rfind("HTTP/", 0) != 0)

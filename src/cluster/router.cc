@@ -49,7 +49,6 @@ Router::Router(RouterConfig config)
               [this] { return topologyJson(); }}},
             draining)
 {
-    readBuf.resize(cfg.readChunkBytes);
     for (const BackendAddress &address : cfg.backends) {
         const std::uint64_t id = nextBackendId++;
         backends.push_back(makeBackendLocked(id, address));
@@ -235,11 +234,22 @@ Router::routerLoop()
             pfds.push_back({listener.get(), POLLIN, 0});
             targets.push_back({PollTarget::Kind::Listener, 0});
         }
-        for (const auto &[id, conn] : conns) {
-            short events = POLLIN;
-            if (conn.out.size() > conn.outOff)
-                events |= POLLOUT;
-            pfds.push_back({conn.fd.get(), events, 0});
+        for (auto it = conns.begin(); it != conns.end();) {
+            const std::uint64_t id = it->first;
+            // Advance first: closeClient(id) below erases the entry.
+            const ClientConn &conn = (it++)->second;
+            // A half-closed (or broken) client closes once it is owed
+            // nothing and flushed; until then its EOF would read as
+            // ready on every pass, so poll only writes and errors.
+            const std::size_t pending = conn.framed.pendingBytes();
+            const bool reading = !conn.framed.readClosed();
+            if (!reading && conn.inFlight == 0 && pending == 0) {
+                closeClient(id);
+                continue;
+            }
+            const short events = static_cast<short>(
+                (reading ? POLLIN : 0) | (pending ? POLLOUT : 0));
+            pfds.push_back({conn.framed.fd(), events, 0});
             targets.push_back({PollTarget::Kind::Client, id});
         }
         for (const auto &backend : backends) {
@@ -258,7 +268,6 @@ Router::routerLoop()
         if (ready < 0 && errno != EINTR)
             break;
 
-        std::vector<std::uint64_t> closing;
         for (std::size_t i = 0; ready > 0 && i < pfds.size(); ++i) {
             const short revents = pfds[i].revents;
             if (revents == 0)
@@ -278,15 +287,14 @@ Router::routerLoop()
                 if (it == conns.end())
                     break;
                 ClientConn &conn = it->second;
-                bool alive = true;
-                if (revents & (POLLIN | POLLHUP | POLLERR))
-                    alive = handleClientReadable(conn);
-                if (alive && (revents & POLLOUT))
-                    flushClient(conn);
-                if (!alive || (conn.readClosed &&
-                               conn.out.size() == conn.outOff &&
-                               conn.inFlight == 0))
-                    closing.push_back(targets[i].id);
+                if (revents & POLLOUT)
+                    flushClient(conn, {});
+                // A hang-up or error on a half-closed client means it
+                // is gone both ways.
+                if ((revents & (POLLIN | POLLHUP | POLLERR)) &&
+                    (conn.framed.readClosed() ||
+                     !handleClientReadable(conn)))
+                    closeClient(targets[i].id);
                 break;
             }
             case PollTarget::Kind::Backend: {
@@ -300,8 +308,6 @@ Router::routerLoop()
             }
             }
         }
-        for (const std::uint64_t id : closing)
-            closeClient(id);
 
         refreshDerived();
         publishTopology();
@@ -319,7 +325,8 @@ Router::acceptPending()
         net::setNoDelay(conn.get());
         const std::uint64_t id = nextConnId++;
         ClientConn client;
-        client.fd = std::move(conn);
+        client.framed =
+            net::FramedConn(std::move(conn), cfg.maxInBufferBytes);
         client.id = id;
         conns.emplace(id, std::move(client));
         accepted.add();
@@ -331,70 +338,35 @@ bool
 Router::handleClientReadable(ClientConn &conn)
 {
     for (;;) {
-        const ssize_t got =
-            ::read(conn.fd.get(), readBuf.data(), readBuf.size());
-        if (got > 0) {
-            conn.in.insert(conn.in.end(), readBuf.data(),
-                           readBuf.data() +
-                               static_cast<std::size_t>(got));
-            if (conn.in.size() > cfg.maxInBufferBytes)
-                return false; // garbage or hostile lengths
-            if (static_cast<std::size_t>(got) < readBuf.size())
-                break;
-            continue;
+        std::size_t got = 0;
+        const net::IoStatus status =
+            conn.framed.read(cfg.readChunkBytes, got);
+        if (status != net::IoStatus::Ok)
+            return status != net::IoStatus::Failed;
+        // Route after every read, as the server does, so the input
+        // cap only ever holds an incomplete tail.
+        const net::ScanResult scanned =
+            conn.framed.scan([&](const net::FrameSlice &frame) {
+                framesIn.add();
+                // The ledger owns a copy: replay after a backend
+                // break outlives the sealed buffer.
+                const std::uint8_t *bytes =
+                    frame.buffer->data() + frame.offset;
+                routeFrame(frame.header,
+                           std::vector<std::uint8_t>(
+                               bytes, bytes + frame.length),
+                           conn.id);
+                return net::FrameVerdict::Next;
+            });
+        if (scanned.resyncs != 0) {
+            resynced.add(scanned.resyncs);
+            resyncBytes.add(scanned.resyncBytes);
         }
-        if (got == 0) {
-            conn.readClosed = true;
-            break;
-        }
-        if (errno == EAGAIN || errno == EWOULDBLOCK)
-            break;
-        if (errno == EINTR)
-            continue;
-        return false;
+        if (!scanned.withinCap)
+            return false;
+        if (got < cfg.readChunkBytes)
+            return true;
     }
-    return processClientInput(conn);
-}
-
-bool
-Router::processClientInput(ClientConn &conn)
-{
-    std::size_t offset = 0;
-    while (offset < conn.in.size()) {
-        wire::FrameHeader header;
-        std::size_t frame_end = 0;
-        const wire::DecodeStatus status = wire::peekFrameHeader(
-            conn.in.data(), conn.in.size(), offset, header,
-            frame_end);
-        if (status == wire::DecodeStatus::Ok) {
-            framesIn.add();
-            std::vector<std::uint8_t> frame(
-                conn.in.begin() +
-                    static_cast<std::ptrdiff_t>(offset),
-                conn.in.begin() +
-                    static_cast<std::ptrdiff_t>(frame_end));
-            routeFrame(header, std::move(frame), conn.id);
-            offset = frame_end;
-            continue;
-        }
-        if (status == wire::DecodeStatus::Truncated)
-            break; // frame still arriving
-        // Corrupt region: resync at the next trustworthy boundary,
-        // the same discipline the backends apply.
-        bool complete = false;
-        const std::size_t next = wire::findFrameBoundary(
-            conn.in.data(), conn.in.size(), offset + 1, &complete);
-        resynced.add();
-        resyncBytes.add(next - offset);
-        offset = next;
-        if (!complete)
-            break;
-    }
-    if (offset > 0)
-        conn.in.erase(conn.in.begin(),
-                      conn.in.begin() +
-                          static_cast<std::ptrdiff_t>(offset));
-    return true;
 }
 
 Router::Backend *
@@ -552,20 +524,21 @@ Router::forwardReply(std::uint64_t client_conn,
         return;
     }
     ClientConn &conn = it->second;
-    if (conn.out.size() - conn.outOff > cfg.maxOutBufferBytes) {
+    if (conn.framed.pendingBytes() > cfg.maxOutBufferBytes) {
         responsesDropped.add();
         return;
     }
+    replyScratch.clear();
     if (reply.isState)
-        wire::appendSessionStateFrame(conn.out, reply.session,
+        wire::appendSessionStateFrame(replyScratch, reply.session,
                                       reply.sequence, reply.state);
     else
-        wire::appendPredictionFrame(conn.out, reply.session,
+        wire::appendPredictionFrame(replyScratch, reply.session,
                                     reply.sequence,
                                     reply.predictions.data(),
                                     reply.predictions.size());
     responsesOut.add();
-    flushClient(conn);
+    flushClient(conn, replyScratch);
 }
 
 void
@@ -578,32 +551,22 @@ Router::synthesizeReply(std::uint64_t session,
         responsesDropped.add();
         return;
     }
-    ClientConn &conn = it->second;
-    wire::appendPredictionFrame(conn.out, session, sequence, nullptr,
-                                0);
+    replyScratch.clear();
+    wire::appendPredictionFrame(replyScratch, session, sequence,
+                                nullptr, 0);
     responsesSynthesized.add();
-    flushClient(conn);
+    flushClient(it->second, replyScratch);
 }
 
 void
-Router::flushClient(ClientConn &conn)
+Router::flushClient(ClientConn &conn,
+                    const std::vector<std::uint8_t> &reply)
 {
-    while (conn.outOff < conn.out.size()) {
-        const ssize_t wrote =
-            ::send(conn.fd.get(), conn.out.data() + conn.outOff,
-                   conn.out.size() - conn.outOff, MSG_NOSIGNAL);
-        if (wrote > 0) {
-            conn.outOff += static_cast<std::size_t>(wrote);
-            continue;
-        }
-        if (wrote < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
-            return; // POLLOUT will resume the flush
-        if (wrote < 0 && errno == EINTR)
-            continue;
-        return; // broken pipe: the read side will close the conn
-    }
-    conn.out.clear();
-    conn.outOff = 0;
+    conn.framed.append(reply.data(), reply.size());
+    // WouldBlock: POLLOUT resumes the flush. After a failed write the
+    // client closes once nothing is owed - never here: this may run
+    // inside the client's own scan.
+    conn.framed.flush();
 }
 
 void
@@ -1017,7 +980,7 @@ Router::refreshDerived()
 
     bool flushed = true;
     for (const auto &[id, conn] : conns) {
-        if (conn.out.size() > conn.outOff) {
+        if (conn.framed.pendingBytes() > 0) {
             flushed = false;
             break;
         }

@@ -7,7 +7,8 @@
  * Threading model: one router thread runs a ::poll loop over the
  * frontend listener, every client connection, every backend
  * connection (net::Client sockets) and an eventfd wakeup; an admin
- * thread serves the introspection HTTP endpoint. All routing state -
+ * thread serves the introspection HTTP endpoint. Client connections
+ * are net::FramedConns, as in the server. All routing state -
  * the hash ring, the session routes, the per-backend in-flight
  * ledgers - is owned by the router thread; control operations
  * (addBackend/removeBackend) post commands through a locked queue
@@ -62,7 +63,7 @@
 #include "cluster/hash_ring.hh"
 #include "net/admin_endpoint.hh"
 #include "net/client.hh"
-#include "net/socket.hh"
+#include "net/framed_conn.hh"
 #include "telemetry/stat.hh"
 
 namespace hotpath
@@ -349,12 +350,8 @@ class Router
     /** One frontend (client) connection. */
     struct ClientConn
     {
-        net::Fd fd;
+        net::FramedConn framed;
         std::uint64_t id = 0;
-        std::vector<std::uint8_t> in;
-        std::vector<std::uint8_t> out;
-        std::size_t outOff = 0;
-        bool readClosed = false;
         /** Frames accepted whose replies have not yet been posted
          *  back to this connection. */
         std::uint64_t inFlight = 0;
@@ -401,12 +398,9 @@ class Router
     Backend *findBackend(std::uint64_t id);
     void routerLoop();
     void acceptPending();
-    /** Read a client socket and process its input; returns false
+    /** Read a client socket and route its frames; returns false
      *  when the connection must be closed. */
     bool handleClientReadable(ClientConn &conn);
-    /** Parse and route every complete frame in conn.in; returns
-     *  false when the connection must be closed. */
-    bool processClientInput(ClientConn &conn);
     /** Route one accepted frame (or park it behind a migration). */
     void routeFrame(const wire::FrameHeader &header,
                     std::vector<std::uint8_t> frame,
@@ -436,7 +430,9 @@ class Router
     void synthesizeToConn(std::uint64_t session,
                           std::uint64_t sequence,
                           std::uint64_t client_conn);
-    void flushClient(ClientConn &conn);
+    /** Queue `reply` on a client and flush its replies. */
+    void flushClient(ClientConn &conn,
+                     const std::vector<std::uint8_t> &reply);
     void closeClient(std::uint64_t conn_id);
     /** Reconnect a broken backend and replay its ledger, or declare
      *  it dead and fail its sessions over. */
@@ -499,8 +495,8 @@ class Router
 
     // Router-thread-owned state.
     std::unordered_map<std::uint64_t, ClientConn> conns;
-    /** Client socket read buffer, reused for every read. */
-    std::vector<std::uint8_t> readBuf;
+    /** Reply encode buffer, reused for every reply. */
+    std::vector<std::uint8_t> replyScratch;
     std::vector<std::unique_ptr<Backend>> backends;
     std::unordered_map<std::uint64_t, SessionRoute> routes;
 

@@ -649,25 +649,13 @@ std::size_t
 findNextFrame(const std::uint8_t *data, std::size_t size,
               std::size_t from)
 {
-    FrameHeader header;
-    for (std::size_t at = from; at + 2 <= size; ++at) {
-        if (data[at] != kMagic0 || data[at + 1] != kMagic1)
-            continue;
-        std::size_t crc_begin = 0;
-        std::size_t payload_begin = 0;
-        std::size_t payload_len = 0;
-        std::uint64_t count = 0;
-        std::size_t frame_end = 0;
-        if (parseHeader(data, size, at, header, crc_begin,
-                        payload_begin, payload_len, count,
-                        frame_end) != DecodeStatus::Ok)
-            continue;
-        const std::size_t payload_end = payload_begin + payload_len;
-        if (crc32(data + crc_begin, payload_end - crc_begin) ==
-            readU32le(data + payload_end))
-            return at;
-    }
-    return size;
+    // A whole buffer has no more bytes coming, so a candidate it cuts
+    // short is garbage too: step past it and keep looking.
+    bool complete = false;
+    std::size_t at = findFrameBoundary(data, size, from, &complete);
+    while (!complete && at < size)
+        at = findFrameBoundary(data, size, at + 1, &complete);
+    return at;
 }
 
 std::size_t

@@ -22,9 +22,53 @@ namespace hotpath::net
 namespace
 {
 
+using Clock = std::chrono::steady_clock;
+
 constexpr const char *kPlainText = "text/plain; charset=utf-8";
 constexpr const char *kPrometheusText =
     "text/plain; version=0.0.4; charset=utf-8";
+
+/** Write all of `bytes` to the non-blocking socket `fd` before
+ *  `deadline`; false when the peer broke or time ran out. */
+bool
+sendAll(int fd, const std::string &bytes, Clock::time_point deadline)
+{
+    std::size_t off = 0;
+    while (off < bytes.size() && Clock::now() < deadline) {
+        const ssize_t wrote = ::send(fd, bytes.data() + off,
+                                     bytes.size() - off, MSG_NOSIGNAL);
+        if (wrote > 0)
+            off += static_cast<std::size_t>(wrote);
+        else if (wrote < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
+            waitFor(fd, POLLOUT, 20);
+        else if (wrote == 0 || errno != EINTR)
+            return false;
+    }
+    return off == bytes.size();
+}
+
+/** Append what the non-blocking socket `fd` sends to `out` until the
+ *  peer closes, `deadline` passes or `done(out)`; false when a read
+ *  fails. */
+template <typename Done>
+bool
+recvUntil(int fd, std::string &out, Clock::time_point deadline,
+          Done done)
+{
+    char buf[1024];
+    while (!done(out) && Clock::now() < deadline) {
+        const ssize_t got = ::read(fd, buf, sizeof(buf));
+        if (got > 0)
+            out.append(buf, static_cast<std::size_t>(got));
+        else if (got == 0)
+            break;
+        else if (errno == EAGAIN || errno == EWOULDBLOCK)
+            waitFor(fd, POLLIN, 20);
+        else if (errno != EINTR)
+            return false;
+    }
+    return true;
+}
 
 } // namespace
 
@@ -68,8 +112,7 @@ void
 AdminEndpoint::loop(std::uint64_t tick_ms)
 {
     while (!stopping.load()) {
-        pollfd pfd{listener.get(), POLLIN, 0};
-        if (::poll(&pfd, 1, static_cast<int>(tick_ms)) <= 0)
+        if (!waitFor(listener.get(), POLLIN, tick_ms))
             continue;
         Fd conn(::accept4(listener.get(), nullptr, nullptr,
                           SOCK_NONBLOCK));
@@ -134,53 +177,33 @@ AdminEndpoint::respond(const std::string &request) const
 void
 AdminEndpoint::serve(Fd &conn) const
 {
-    using Clock = std::chrono::steady_clock;
     // Bounded request read: one request at a time is the whole
     // concurrency model, so a slow client must not hold the thread.
     std::string request;
-    char buf[1024];
-    const auto readDeadline =
-        Clock::now() + std::chrono::milliseconds(250);
-    while (request.find('\n') == std::string::npos &&
-           request.size() < 4096 && Clock::now() < readDeadline) {
-        pollfd pfd{conn.get(), POLLIN, 0};
-        if (::poll(&pfd, 1, 50) <= 0)
-            continue;
-        const ssize_t got = ::read(conn.get(), buf, sizeof(buf));
-        if (got > 0) {
-            request.append(buf, static_cast<std::size_t>(got));
-            continue;
-        }
-        if (got == 0)
-            break;
-        if (errno == EINTR || errno == EAGAIN ||
-            errno == EWOULDBLOCK)
-            continue;
-        return;
-    }
+    if (recvUntil(conn.get(), request,
+                  Clock::now() + std::chrono::milliseconds(250),
+                  [](const std::string &r) {
+                      return r.find('\n') != std::string::npos ||
+                             r.size() >= 4096;
+                  }))
+        sendAll(conn.get(), respond(request),
+                Clock::now() + std::chrono::milliseconds(500));
+}
 
-    const std::string response = respond(request);
-    std::size_t off = 0;
-    const auto writeDeadline =
-        Clock::now() + std::chrono::milliseconds(500);
-    while (off < response.size() && Clock::now() < writeDeadline) {
-        const ssize_t wrote = ::send(
-            conn.get(), response.data() + off, response.size() - off,
-            MSG_NOSIGNAL);
-        if (wrote > 0) {
-            off += static_cast<std::size_t>(wrote);
-            continue;
-        }
-        if (wrote < 0 &&
-            (errno == EAGAIN || errno == EWOULDBLOCK)) {
-            pollfd pfd{conn.get(), POLLOUT, 0};
-            ::poll(&pfd, 1, 50);
-            continue;
-        }
-        if (wrote < 0 && errno == EINTR)
-            continue;
-        break;
-    }
+std::string
+httpRequest(const std::string &host, std::uint16_t port,
+            const std::string &request, std::uint64_t timeout_ms)
+{
+    Fd fd = connectTcp(host, port);
+    const auto deadline =
+        Clock::now() + std::chrono::milliseconds(timeout_ms);
+    // The server closes after every response: read to the close.
+    std::string response;
+    if (!fd.valid() || !sendAll(fd.get(), request, deadline) ||
+        !recvUntil(fd.get(), response, deadline,
+                   [](const std::string &) { return false; }))
+        return "";
+    return response;
 }
 
 } // namespace hotpath::net

@@ -108,6 +108,16 @@ class AdminEndpoint
     std::thread thread;
 };
 
+/**
+ * The admin plane's client: connect to `host:port`, write `request`
+ * (e.g. "GET /stats HTTP/1.0\r\n\r\n") and read to the server's
+ * close, all within `timeout_ms`. Returns the raw response read by
+ * then; "" when the connect, the write or a read fails.
+ */
+std::string httpRequest(const std::string &host, std::uint16_t port,
+                        const std::string &request,
+                        std::uint64_t timeout_ms);
+
 } // namespace hotpath::net
 
 #endif // HOTPATH_NET_ADMIN_ENDPOINT_HH

@@ -6,10 +6,7 @@
 #include "net/client.hh"
 
 #include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
 
-#include <cerrno>
 #include <chrono>
 #include <thread>
 
@@ -18,17 +15,6 @@ namespace hotpath::net
 
 namespace
 {
-
-/** Wait for `events` on `fd`, at most `timeout_ms`. Returns false on
- *  timeout or poll error. */
-bool
-waitFor(int fd, short events, std::uint64_t timeout_ms)
-{
-    pollfd pfd{fd, events, 0};
-    const int ready =
-        ::poll(&pfd, 1, static_cast<int>(timeout_ms));
-    return ready > 0;
-}
 
 /** SplitMix64 finalizer: the retry-jitter hash. */
 std::uint64_t
@@ -69,8 +55,8 @@ Client::connect()
             std::this_thread::sleep_for(
                 std::chrono::milliseconds(delay - half + jitter));
         }
-        fd = connectTcp(cfg.host, cfg.port);
-        if (fd.valid())
+        conn = FramedConn(connectTcp(cfg.host, cfg.port));
+        if (conn.open())
             return true;
     }
     return false;
@@ -79,26 +65,16 @@ Client::connect()
 bool
 Client::sendFrame(const std::uint8_t *data, std::size_t size)
 {
-    if (!fd.valid())
+    if (!conn.open())
         return false;
-    std::size_t off = 0;
-    while (off < size) {
-        const ssize_t wrote = ::send(fd.get(), data + off,
-                                     size - off, MSG_NOSIGNAL);
-        if (wrote > 0) {
-            off += static_cast<std::size_t>(wrote);
-            counters.bytesOut += static_cast<std::uint64_t>(wrote);
-            continue;
-        }
-        if (wrote < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-            if (!waitFor(fd.get(), POLLOUT, cfg.responseTimeoutMs)) {
-                close();
-                return false;
-            }
-            continue;
-        }
-        if (wrote < 0 && errno == EINTR)
-            continue;
+    const std::uint64_t before = conn.flushedBytes();
+    conn.append(data, size);
+    IoStatus status = conn.flush();
+    while (status == IoStatus::WouldBlock &&
+           waitFor(conn.fd(), POLLOUT, cfg.responseTimeoutMs))
+        status = conn.flush();
+    counters.bytesOut += conn.flushedBytes() - before;
+    if (status != IoStatus::Ok) {
         close();
         return false;
     }
@@ -114,63 +90,6 @@ Client::sendEvents(std::uint64_t session, std::uint64_t sequence,
     wire::appendEventFrame(encodeScratch, session, sequence, events,
                            count);
     return sendFrame(encodeScratch.data(), encodeScratch.size());
-}
-
-int
-Client::decodeReplies(std::vector<PredictionReply> &replies)
-{
-    int appended = 0;
-    std::size_t off = 0;
-    wire::DecodedFrame frame;
-    while (off < in.size()) {
-        const wire::DecodeStatus status =
-            wire::decodeFrame(in.data(), in.size(), off, frame);
-        if (status == wire::DecodeStatus::Ok) {
-            if (frame.header.kind == wire::FrameKind::Predictions) {
-                PredictionReply reply;
-                reply.session = frame.header.session;
-                reply.sequence = frame.header.sequence;
-                reply.predictions = std::move(frame.predictions);
-                frame.predictions.clear();
-                replies.push_back(std::move(reply));
-                ++counters.responsesReceived;
-                ++appended;
-            } else if (frame.header.kind ==
-                       wire::FrameKind::SessionState) {
-                // Migration traffic: the answer to an export
-                // request. Surfaced with isState set so the router
-                // can tell snapshots from prediction replies.
-                PredictionReply reply;
-                reply.session = frame.header.session;
-                reply.sequence = frame.header.sequence;
-                reply.isState = true;
-                reply.state = std::move(frame.state);
-                frame.state = wire::SessionState{};
-                replies.push_back(std::move(reply));
-                ++counters.responsesReceived;
-                ++appended;
-            }
-            // Other frame kinds from a server would be a protocol
-            // surprise; skip them quietly.
-            continue;
-        }
-        if (status == wire::DecodeStatus::Truncated)
-            break; // reply still arriving
-        // Corrupt reply: resync at the next trustworthy boundary,
-        // exactly as the server treats requests.
-        bool complete = false;
-        const std::size_t next = wire::findFrameBoundary(
-            in.data(), in.size(), off + 1, &complete);
-        ++counters.resyncs;
-        counters.resyncBytesSkipped += next - off;
-        off = next;
-        if (!complete)
-            break;
-    }
-    if (off > 0)
-        in.erase(in.begin(),
-                 in.begin() + static_cast<std::ptrdiff_t>(off));
-    return appended;
 }
 
 int
@@ -193,43 +112,61 @@ int
 Client::pollSocket(std::vector<PredictionReply> &replies,
                    std::uint64_t timeout_ms)
 {
-    if (!fd.valid())
+    // Each poll scans all it read, so only an incomplete tail waits.
+    if (!conn.open())
         return -1;
-
-    // Serve from already-buffered bytes before touching the socket.
-    int appended = decodeReplies(replies);
-    if (appended > 0)
-        return appended;
-
-    if (!waitFor(fd.get(), POLLIN, timeout_ms))
+    if (!waitFor(conn.fd(), POLLIN, timeout_ms))
         return 0;
 
-    std::uint8_t chunk[64 * 1024];
-    while (true) {
-        const ssize_t got = ::read(fd.get(), chunk, sizeof(chunk));
-        if (got > 0) {
-            in.insert(in.end(), chunk,
-                      chunk + static_cast<std::size_t>(got));
-            counters.bytesIn += static_cast<std::uint64_t>(got);
-            if (static_cast<std::size_t>(got) < sizeof(chunk))
+    constexpr std::size_t kChunk = 64 * 1024;
+    for (;;) {
+        std::size_t got = 0;
+        const IoStatus status = conn.read(kChunk, got);
+        if (status == IoStatus::Ok) {
+            counters.bytesIn += got;
+            if (got < kChunk)
                 break;
             continue;
         }
-        if (got == 0) {
-            close(); // server went away; decode what we have
+        if (status == IoStatus::WouldBlock)
             break;
-        }
-        if (errno == EAGAIN || errno == EWOULDBLOCK)
-            break;
-        if (errno == EINTR)
-            continue;
-        close();
-        return -1;
+        conn.close();
+        if (status == IoStatus::Failed)
+            return -1;
+        break; // server went away; decode what we have
     }
-    appended = decodeReplies(replies);
-    if (appended == 0 && !fd.valid())
-        return -1;
-    return appended;
+
+    int appended = 0;
+    wire::DecodedFrame frame;
+    const ScanResult scanned = conn.scan([&](const FrameSlice &slice) {
+        std::size_t off = slice.offset;
+        if (wire::decodeFrame(slice.buffer->data(),
+                              slice.offset + slice.length, off,
+                              frame) != wire::DecodeStatus::Ok)
+            return FrameVerdict::Corrupt; // e.g. a bad CRC
+        PredictionReply reply;
+        reply.session = frame.header.session;
+        reply.sequence = frame.header.sequence;
+        // A SessionState frame answers a migration export request;
+        // isState lets the router tell it from predictions. Other
+        // kinds from a server would be a protocol surprise: skip
+        // them quietly. (decodeFrame resets what is moved out.)
+        reply.isState =
+            frame.header.kind == wire::FrameKind::SessionState;
+        if (reply.isState)
+            reply.state = std::move(frame.state);
+        else if (frame.header.kind == wire::FrameKind::Predictions)
+            reply.predictions = std::move(frame.predictions);
+        else
+            return FrameVerdict::Next;
+        replies.push_back(std::move(reply));
+        ++counters.responsesReceived;
+        ++appended;
+        return FrameVerdict::Next;
+    });
+    counters.resyncs += scanned.resyncs;
+    counters.resyncBytesSkipped += scanned.resyncBytes;
+    return appended == 0 && !conn.open() ? -1 : appended;
 }
 
 bool

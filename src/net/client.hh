@@ -7,10 +7,11 @@
  * sendEvents() + poll()/awaitResponses() (keep many frames in flight
  * and collect replies as they arrive - the loadgen's open-loop mode).
  *
- * Responses are CRC-verified by wire::decodeFrame; a corrupt region
- * in the reply stream is skipped with wire::findFrameBoundary, the
- * same resync discipline the server applies to requests, so one
- * damaged reply never desynchronizes the connection.
+ * The connection is a net::FramedConn, the same reassembly and
+ * resync path the server runs on requests. Each reply is
+ * CRC-verified by wire::decodeFrame; a reply that fails it is
+ * resynced past like any corrupt region, so one damaged reply never
+ * desynchronizes the connection.
  *
  * connect() retries with exponential backoff (base * 2^attempt,
  * capped), which lets a client race a server that is still binding -
@@ -25,7 +26,7 @@
 #include <vector>
 
 #include "engine/wire_format.hh"
-#include "net/socket.hh"
+#include "net/framed_conn.hh"
 
 namespace hotpath::net
 {
@@ -125,14 +126,14 @@ class Client
     bool connect();
 
     /** True while the connection is usable. */
-    bool connected() const { return fd.valid(); }
+    bool connected() const { return conn.open(); }
 
     /** Close the connection (idempotent). */
-    void close() { fd.reset(); }
+    void close() { conn.close(); }
 
     /** Raw socket descriptor (-1 when closed), for callers that
      *  multiplex many clients under one ::poll. */
-    int socketFd() const { return fd.get(); }
+    int socketFd() const { return conn.fd(); }
 
     /**
      * Encode and send one path-event frame (pipelined: does not wait
@@ -178,20 +179,15 @@ class Client
     const ClientStats &stats() const { return counters; }
 
   private:
-    /** Decode every complete reply frame in `in`; resync past
-     *  corrupt regions. Appends to `replies`, returns the number
-     *  appended. */
-    int decodeReplies(std::vector<PredictionReply> &replies);
-
-    /** poll() minus the stash: decode buffered bytes, then read the
-     *  socket (call()'s receive path, which must not re-consume the
-     *  replies it stashed itself). Same returns as poll(). */
+    /** poll() minus the stash: read the socket and decode every
+     *  complete reply, resyncing past corrupt regions (call()'s
+     *  receive path, which must not re-consume the replies it
+     *  stashed itself). Same returns as poll(). */
     int pollSocket(std::vector<PredictionReply> &replies,
                    std::uint64_t timeout_ms);
 
     ClientConfig cfg;
-    Fd fd;
-    std::vector<std::uint8_t> in;
+    FramedConn conn;
     std::vector<std::uint8_t> encodeScratch;
     /** Pipelined replies a call() read past while matching its own;
      *  served (in arrival order) by the next poll(). */

@@ -129,7 +129,6 @@ Server::start()
         ev.data.u64 = kWakeupId;
         ::epoll_ctl(reactor->epoll.get(), EPOLL_CTL_ADD,
                     reactor->wakeup.get(), &ev);
-        reactor->readBuf.resize(cfg.readChunkBytes);
         if (cfg.shedConnections) {
             reactor->shedPolicy = std::make_unique<DegradationPolicy>(
                 cfg.degradation);
@@ -225,10 +224,7 @@ void
 Server::acceptLoop()
 {
     while (!stopping.load() && !draining.load()) {
-        pollfd pfd{listener.get(), POLLIN, 0};
-        const int ready = ::poll(&pfd, 1,
-                                 static_cast<int>(cfg.tickMs));
-        if (ready > 0)
+        if (waitFor(listener.get(), POLLIN, cfg.tickMs))
             acceptPending();
     }
     // On drain, sweep the backlog one last time: a client that
@@ -295,7 +291,7 @@ Server::reactorLoop(std::size_t index)
             Connection &conn = it->second;
             if (events[i].events & EPOLLOUT) {
                 conn.writable = true;
-                flushOutput(reactor, conn);
+                flushOutput(conn);
             }
             if (events[i].events &
                 (EPOLLIN | EPOLLRDHUP | EPOLLHUP | EPOLLERR)) {
@@ -333,13 +329,13 @@ Server::drainInbox(Reactor &reactor)
     for (std::size_t i = 0; i < conns.size(); ++i) {
         Connection conn;
         conn.id = ids[i];
-        conn.fd = std::move(conns[i]);
+        conn.framed = FramedConn(std::move(conns[i]), cfg.maxInBufferBytes);
         conn.lastActivityTick = reactor.tick;
         epoll_event ev{};
         ev.events = EPOLLIN | EPOLLOUT | EPOLLRDHUP | EPOLLET;
         ev.data.u64 = conn.id;
         if (::epoll_ctl(reactor.epoll.get(), EPOLL_CTL_ADD,
-                        conn.fd.get(), &ev) != 0) {
+                        conn.framed.fd(), &ev) != 0) {
             closed.add();
             continue;
         }
@@ -363,21 +359,20 @@ Server::drainInbox(Reactor &reactor)
         Connection &conn = it->second;
         if (conn.inFlight > 0)
             --conn.inFlight;
-        const std::size_t backlog = conn.out.size() - conn.outOff;
-        if (backlog + reply.bytes.size() > cfg.maxOutBufferBytes) {
+        if (conn.framed.pendingBytes() + reply.bytes.size() >
+            cfg.maxOutBufferBytes) {
             responsesDropped.add();
             if (reply.sampled)
                 spans.recordStage(telemetry::Stage::WriteFlush, 0);
             continue;
         }
-        conn.out.insert(conn.out.end(), reply.bytes.begin(),
-                        reply.bytes.end());
-        conn.outEnqueuedTotal += reply.bytes.size();
+        conn.framed.append(reply.bytes.data(), reply.bytes.size());
         if (reply.sampled)
             conn.spanWrites.emplace_back(
-                conn.outEnqueuedTotal, telemetry::monotonicNanos());
+                conn.framed.flushedBytes() + conn.framed.pendingBytes(),
+                telemetry::monotonicNanos());
         responsesOut.add();
-        flushOutput(reactor, conn);
+        flushOutput(conn);
         if (connDone(conn))
             closeConnection(reactor, conn.id);
     }
@@ -390,8 +385,8 @@ Server::connDone(const Connection &conn) const
     // once the peer half-closed, an incomplete tail frame can never
     // complete, and processInput has already consumed every frame
     // that did.
-    return conn.readClosed && !conn.paused && conn.inFlight == 0 &&
-           conn.outOff == conn.out.size();
+    return conn.framed.readClosed() && !conn.paused && conn.inFlight == 0 &&
+           conn.framed.pendingBytes() == 0;
 }
 
 void
@@ -410,19 +405,17 @@ Server::handleReadable(Reactor &reactor, Connection &conn,
     if (spans.enabled())
         conn.readStartNs = telemetry::monotonicNanos();
 
-    std::vector<std::uint8_t> &buf = reactor.readBuf;
-    while (!conn.paused && !conn.readClosed) {
-        const ssize_t got = ::read(conn.fd.get(), buf.data(), buf.size());
-        if (got > 0) {
-            const auto n = static_cast<std::size_t>(got);
-            conn.in.insert(conn.in.end(), buf.data(), buf.data() + n);
+    while (!conn.paused && !conn.framed.readClosed()) {
+        std::size_t n = 0;
+        const IoStatus status = conn.framed.read(cfg.readChunkBytes, n);
+        if (status == IoStatus::Ok) {
             bytesIn.add(n);
             conn.lastActivityTick = reactor.tick;
             reactor.sawReads = true;
             // A full read leaves more bytes to read; after a short
             // one, and with no other connection ready, the reactor
             // has nothing else waiting.
-            const bool short_read = n < buf.size();
+            const bool short_read = n < cfg.readChunkBytes;
             if (!processInput(reactor, conn, last_ready && short_read)) {
                 closeConnection(reactor, conn.id);
                 return;
@@ -439,14 +432,8 @@ Server::handleReadable(Reactor &reactor, Connection &conn,
                 break;
             continue;
         }
-        if (got == 0) {
-            conn.readClosed = true;
+        if (status == IoStatus::Eof || status == IoStatus::WouldBlock)
             break;
-        }
-        if (errno == EAGAIN || errno == EWOULDBLOCK)
-            break;
-        if (errno == EINTR)
-            continue;
         // ECONNRESET and friends: the peer is gone.
         closeConnection(reactor, conn.id);
         return;
@@ -459,39 +446,8 @@ bool
 Server::processInput(Reactor &reactor, Connection &conn,
                      bool may_inline)
 {
-    // Fast pre-check on the reassembly buffer: if it holds no
-    // complete frame yet (the common short-read case), keep
-    // accumulating without sealing a shared buffer.
-    {
-        wire::FrameHeader header;
-        std::size_t frameEnd = 0;
-        const wire::DecodeStatus status = wire::peekFrameHeader(
-            conn.in.data(), conn.in.size(), 0, header, frameEnd);
-        if (status == wire::DecodeStatus::Truncated)
-            return conn.in.size() <= cfg.maxInBufferBytes;
-    }
-
-    // Seal the reassembly buffer into a shared immutable ingest
-    // buffer and submit every complete frame as a zero-copy slice of
-    // it (Engine::trySubmitShared refcounts the buffer; only the
-    // incomplete tail is copied into the next reassembly buffer).
-    const auto buffer =
-        std::make_shared<const std::vector<std::uint8_t>>(
-            std::move(conn.in));
-    conn.in = {};
-    const std::uint8_t *data = buffer->data();
-    const std::size_t size = buffer->size();
-    std::size_t off = 0;
-
-    while (!conn.paused && off < size) {
-        wire::FrameHeader header;
-        std::size_t frameEnd = 0;
-        const wire::DecodeStatus status =
-            wire::peekFrameHeader(data, size, off, header, frameEnd);
-        if (status == wire::DecodeStatus::Ok) {
-            const std::size_t frameOff = off;
-            const std::size_t frameLen = frameEnd - off;
-            off = frameEnd;
+    const ScanResult scanned =
+        conn.framed.scan([&](const FrameSlice &frame) {
             // Sampling decision at the ingest boundary: a sampled
             // frame is timestamped here (end of Read, start of
             // QueueWait) and carries span_ns through the engine.
@@ -507,20 +463,23 @@ Server::processInput(Reactor &reactor, Connection &conn,
             // under load the workers, not the reactor, decode and
             // predict.
             const engine::SubmitStatus submitted =
-                eng.trySubmitShared(buffer, frameOff, frameLen,
+                eng.trySubmitShared(frame.buffer, frame.offset,
+                                    frame.length,
                                     makeTag(reactor.index, conn.id),
                                     span_ns,
-                                    may_inline && frameEnd == size);
+                                    may_inline &&
+                                        frame.offset + frame.length ==
+                                            frame.buffer->size());
             if (submitted == engine::SubmitStatus::Backpressure) {
                 // Park the slice and stop reading this socket: the
                 // kernel buffer fills and TCP pushes back.
-                conn.parkedBuf = buffer;
-                conn.parkedOff = frameOff;
-                conn.parkedLen = frameLen;
+                conn.parkedBuf = frame.buffer;
+                conn.parkedOff = frame.offset;
+                conn.parkedLen = frame.length;
                 conn.parkedSpanNs = span_ns;
                 conn.paused = true;
                 readPauses.add();
-                break;
+                return FrameVerdict::Stop;
             }
             if (submitted == engine::SubmitStatus::Accepted) {
                 ++conn.inFlight;
@@ -528,37 +487,22 @@ Server::processInput(Reactor &reactor, Connection &conn,
             }
             // Rejected frames were counted by the engine (rejected
             // at the door); no reply will come, nothing in flight.
-            continue;
-        }
-        if (status == wire::DecodeStatus::Truncated)
-            break; // tail frame still arriving
-        // Corrupt region: resync at the next trustworthy boundary.
-        bool complete = false;
-        const std::size_t next =
-            wire::findFrameBoundary(data, size, off + 1, &complete);
-        resynced.add();
-        resyncBytes.add(next - off);
-        off = next;
-        if (!complete)
-            break;
+            return FrameVerdict::Next;
+        });
+    if (scanned.resyncs != 0) {
+        resynced.add(scanned.resyncs);
+        resyncBytes.add(scanned.resyncBytes);
     }
-
-    // Unconsumed suffix (incomplete tail frame, or everything past a
-    // parked slice) re-seeds the reassembly buffer - the only bytes
-    // this path ever copies.
-    if (off < size)
-        conn.in.assign(data + off, data + size);
-    // A peer that buffers this much without completing a frame is
-    // speaking a different protocol; cut it loose.
-    return conn.in.size() <= cfg.maxInBufferBytes;
+    // A peer that buffers more than the cap without completing a
+    // frame is speaking a different protocol; cut it loose.
+    return scanned.withinCap;
 }
 
 void
-Server::flushOutput(Reactor &reactor, Connection &conn)
+Server::flushOutput(Connection &conn)
 {
-    (void)reactor;
-    while (conn.writable && conn.outOff < conn.out.size()) {
-        std::size_t want = conn.out.size() - conn.outOff;
+    while (conn.writable && conn.framed.pendingBytes() > 0) {
+        std::size_t want = conn.framed.pendingBytes();
         bool split = false;
         if (want > 1 && injector &&
             injector->armed(fault::Site::SockPartialWrite)) {
@@ -570,58 +514,37 @@ Server::flushOutput(Reactor &reactor, Connection &conn)
                 split = true;
             }
         }
-        const ssize_t wrote =
-            ::send(conn.fd.get(), conn.out.data() + conn.outOff,
-                   want, MSG_NOSIGNAL);
-        if (wrote > 0) {
-            conn.outOff += static_cast<std::size_t>(wrote);
-            conn.outFlushedTotal +=
-                static_cast<std::uint64_t>(wrote);
-            // Sampled replies fully behind the flushed watermark
-            // have completed their write-flush stage.
-            while (!conn.spanWrites.empty() &&
-                   conn.spanWrites.front().first <=
-                       conn.outFlushedTotal) {
-                spans.recordStage(
-                    telemetry::Stage::WriteFlush,
-                    telemetry::monotonicNanos() -
-                        conn.spanWrites.front().second);
-                conn.spanWrites.pop_front();
-            }
-            bytesOut.add(static_cast<std::uint64_t>(wrote));
-            if (split)
-                break; // deliver the rest on a later tick
-            continue;
+        const std::uint64_t before = conn.framed.flushedBytes();
+        const IoStatus status = conn.framed.flush(want);
+        const std::uint64_t flushed = conn.framed.flushedBytes();
+        bytesOut.add(flushed - before);
+        // Sampled replies fully behind the flushed watermark have
+        // completed their write-flush stage.
+        while (!conn.spanWrites.empty() &&
+               conn.spanWrites.front().first <= flushed) {
+            spans.recordStage(telemetry::Stage::WriteFlush,
+                              telemetry::monotonicNanos() -
+                                  conn.spanWrites.front().second);
+            conn.spanWrites.pop_front();
         }
-        if (wrote < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+        if (status == IoStatus::WouldBlock) {
             conn.writable = false;
             break;
         }
-        if (wrote < 0 && errno == EINTR)
-            continue;
-        // Write error: the peer reset. Drop every buffer so the
-        // connDone close path can run once in-flight replies drain.
-        settlePendingSpans(conn);
-        conn.out.clear();
-        conn.outOff = 0;
-        conn.outEnqueuedTotal = conn.outFlushedTotal;
-        conn.in.clear();
-        conn.parkedBuf.reset();
-        conn.parkedOff = 0;
-        conn.parkedLen = 0;
-        conn.parkedSpanNs = 0;
-        conn.paused = false;
-        conn.readClosed = true;
-        break;
-    }
-    if (conn.outOff == conn.out.size()) {
-        conn.out.clear();
-        conn.outOff = 0;
-    } else if (conn.outOff > (std::size_t{64} << 10)) {
-        conn.out.erase(conn.out.begin(),
-                       conn.out.begin() +
-                           static_cast<std::ptrdiff_t>(conn.outOff));
-        conn.outOff = 0;
+        if (status == IoStatus::Failed) {
+            // The peer reset and both buffers are gone. Drop the
+            // parked frame too, so the connDone close path can run
+            // once in-flight replies drain.
+            settlePendingSpans(conn);
+            conn.parkedBuf.reset();
+            conn.parkedOff = 0;
+            conn.parkedLen = 0;
+            conn.parkedSpanNs = 0;
+            conn.paused = false;
+            break;
+        }
+        if (split)
+            break; // deliver the rest on a later tick
     }
 }
 
@@ -684,14 +607,14 @@ Server::maintenance(Reactor &reactor, std::size_t index)
     for (auto &[id, conn] : reactor.conns) {
         if (conn.paused)
             anyPaused = true;
-        if (conn.writable && conn.outOff < conn.out.size())
-            flushOutput(reactor, conn); // partial-write retries
-        if (!conn.in.empty())
+        if (conn.writable && conn.framed.pendingBytes() > 0)
+            flushOutput(conn); // partial-write retries
+        if (conn.framed.bufferedBytes() > 0)
             anyPartialInput = true;
         if (connDone(conn)) {
             toClose.push_back(id);
         } else if (cfg.idleTimeoutTicks != 0 && conn.inFlight == 0 &&
-                   conn.outOff == conn.out.size() &&
+                   conn.framed.pendingBytes() == 0 &&
                    reactor.tick - conn.lastActivityTick >
                        cfg.idleTimeoutTicks) {
             idleClose.push_back(id);
@@ -742,7 +665,7 @@ Server::maintenance(Reactor &reactor, std::size_t index)
 
     bool flushed = true;
     for (const auto &[id, conn] : reactor.conns) {
-        if (conn.outOff != conn.out.size()) {
+        if (conn.framed.pendingBytes() != 0) {
             flushed = false;
             break;
         }

@@ -10,19 +10,14 @@
  * with an eventfd wakeup for cross-thread handoff (new connections
  * from the acceptor, prediction replies from engine workers).
  *
- * Ingest path: bytes are read into a per-connection reassembly
- * buffer; once at least one complete frame is present, the buffer is
- * sealed into a shared immutable ingest buffer and every complete
- * frame is handed to Engine::trySubmitShared as a zero-copy
- * [offset, length) slice of it, with the connection id as the
- * routing tag (only an incomplete tail frame is ever copied, into
- * the next reassembly buffer). A region that fails the header parse
- * is resynced at the next CRC-valid frame boundary
- * (wire::findFrameBoundary), so line noise costs exactly the bytes
- * it damaged.
+ * Ingest path: each connection is a net::FramedConn. After every
+ * read, each complete frame is handed to Engine::trySubmitShared as
+ * a zero-copy slice of the connection's sealed ingest buffer, with
+ * the connection id as the routing tag; corrupt regions are resynced
+ * past at the next CRC-valid frame boundary.
  *
  * Backpressure chain: when a frame's shard queue is saturated,
- * trySubmit returns Backpressure and the reactor *stops reading that
+ * trySubmitShared returns Backpressure and the reactor *stops reading that
  * socket* (the frame is parked, the kernel receive buffer fills, TCP
  * flow control pushes back to the client). Parked connections are
  * retried every maintenance tick. When connection shedding is
@@ -33,7 +28,7 @@
  * Response path: the engine's completion callback encodes each
  * decoded frame's predictions as a FrameKind::Predictions frame and
  * posts it to the owning reactor, which appends it to the
- * connection's write buffer and flushes opportunistically (partial
+ * connection's outbound queue and flushes opportunistically (partial
  * writes and EPOLLOUT handled).
  *
  * Shutdown: drain() stops accepting, waits for the read side to go
@@ -61,6 +56,7 @@
 #include "dynamo/flush.hh"
 #include "engine/engine.hh"
 #include "net/admin_endpoint.hh"
+#include "net/framed_conn.hh"
 #include "net/socket.hh"
 #include "support/fault_injector.hh"
 #include "telemetry/span.hh"
@@ -278,16 +274,11 @@ class Server
     /** One live connection; owned and touched only by its reactor. */
     struct Connection
     {
-        Fd fd;
+        FramedConn framed;
         std::uint64_t id = 0;
-        /** Frame reassembly buffer (unparsed prefix of the stream). */
-        std::vector<std::uint8_t> in;
-        /** Unsent reply bytes; `outOff` marks the flushed prefix. */
-        std::vector<std::uint8_t> out;
-        std::size_t outOff = 0;
         /**
          * Frame parked by trySubmitShared Backpressure, as a slice
-         * of the shared ingest buffer processInput sealed (zero-copy
+         * of the shared ingest buffer the scan sealed (zero-copy
          * even while parked; the refcount keeps the buffer alive).
          * parkedBuf == nullptr means nothing is parked.
          */
@@ -297,8 +288,6 @@ class Server
         bool paused = false;
         /** Writability per last write attempt (edge-triggered). */
         bool writable = true;
-        /** Peer half-closed its write side (read returned 0). */
-        bool readClosed = false;
         /** Frames submitted whose replies have not yet been posted
          *  back to this reactor. */
         std::uint64_t inFlight = 0;
@@ -310,13 +299,8 @@ class Server
         /** Enqueue timestamp of a span-sampled parked frame (0 =
          *  parked frame is unsampled or nothing parked). */
         std::uint64_t parkedSpanNs = 0;
-        /** Lifetime bytes appended to / flushed from `out` (the
-         *  write-flush stage tracks logical byte watermarks, not
-         *  buffer offsets, because `out` compacts). */
-        std::uint64_t outEnqueuedTotal = 0;
-        std::uint64_t outFlushedTotal = 0;
-        /** Sampled replies awaiting flush: (outEnqueuedTotal
-         *  watermark of the reply's last byte, enqueue time). */
+        /** Sampled replies awaiting flush: (flushedBytes() watermark
+         *  of the reply's last byte, enqueue time). */
         std::deque<std::pair<std::uint64_t, std::uint64_t>>
             spanWrites;
     };
@@ -334,9 +318,6 @@ class Server
         /** Reads seen since the last maintenance pass
          *  (reactor-thread-only; feeds quiet detection). */
         bool sawReads = false;
-        /** Socket read buffer (readChunkBytes, allocated once);
-         *  only the bytes received are appended to a connection. */
-        std::vector<std::uint8_t> readBuf;
 
         std::mutex inboxMu;
         std::vector<Fd> pendingConns;
@@ -371,13 +352,13 @@ class Server
      *  is ready in this epoll sweep. */
     void handleReadable(Reactor &reactor, Connection &conn,
                         bool to_eagain, bool last_ready);
-    /** Parse and submit every complete frame in conn.in; returns
-     *  false when the connection must be closed. `may_inline`:
-     *  nothing else waits for the reactor, so the frame that ends
-     *  the buffer may run on this thread (Engine::trySubmitShared). */
+    /** Submit every complete frame buffered; returns false when the
+     *  connection must be closed. `may_inline`: nothing else waits
+     *  for the reactor, so the frame that ends the buffer may run on
+     *  this thread (Engine::trySubmitShared). */
     bool processInput(Reactor &reactor, Connection &conn,
                       bool may_inline);
-    void flushOutput(Reactor &reactor, Connection &conn);
+    void flushOutput(Connection &conn);
     void maintenance(Reactor &reactor, std::size_t index);
     void drainInbox(Reactor &reactor);
     void closeConnection(Reactor &reactor, std::uint64_t conn_id);

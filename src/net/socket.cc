@@ -4,6 +4,7 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -35,6 +36,13 @@ setNonBlocking(int fd)
     if (flags < 0)
         return false;
     return ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
+}
+
+bool
+waitFor(int fd, short events, std::uint64_t timeout_ms)
+{
+    pollfd pfd{fd, events, 0};
+    return ::poll(&pfd, 1, static_cast<int>(timeout_ms)) > 0;
 }
 
 bool

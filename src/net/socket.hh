@@ -71,6 +71,10 @@ class Fd
 /** Put `fd` into non-blocking mode; returns false on failure. */
 bool setNonBlocking(int fd);
 
+/** Wait at most `timeout_ms` for `events` (POLLIN, POLLOUT) on
+ *  `fd`; false on timeout or a poll error. */
+bool waitFor(int fd, short events, std::uint64_t timeout_ms);
+
 /** Disable Nagle's algorithm (TCP_NODELAY); returns false on
  *  failure. Frames are latency-sensitive and self-contained, so
  *  coalescing them only adds tail latency. */

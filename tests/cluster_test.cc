@@ -6,21 +6,21 @@
  * property for arbitrary event suffixes, and the router end to end
  * over loopback - byte-identity with a single-server run, live
  * session migration on scale-up and drain-out, deterministic
- * failover with every accepted frame answered exactly once, and the
- * zero-backend synthesis path.
+ * failover with every accepted frame answered exactly once, the
+ * zero-backend synthesis path, and the router's client framing
+ * (resync past corrupt bytes, an input cap that counts only an
+ * incomplete tail, no busy loop on a half-closed client).
  *
  * Every server and router binds an ephemeral loopback port, so tests
  * run in parallel without port collisions.
  */
 
-#include <poll.h>
 #include <sys/socket.h>
-#include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cstdint>
+#include <ctime>
 #include <map>
 #include <memory>
 #include <set>
@@ -968,6 +968,172 @@ TEST(ClusterRouter, ZeroBackendsSynthesizesEmptyReplies)
     EXPECT_EQ(stats.backendsLive, 0u);
 }
 
+TEST(ClusterRouter, ResyncsPastCorruptClientBytes)
+{
+    // Each frame follows a garbage run (no 'H' bytes, so the resync
+    // scan cannot stall on a fake magic) sent on its own: the router
+    // resyncs past every run, exactly once, and routes every frame.
+    Fleet fleet(1);
+    cluster::Router router(testRouterConfig(fleet));
+    ASSERT_TRUE(router.start());
+
+    net::ClientConfig clientCfg;
+    clientCfg.port = router.port();
+    net::Client client(clientCfg);
+    ASSERT_TRUE(client.connect());
+
+    const auto frames = makeFrames(6, 0, 6, 48);
+    const std::vector<std::uint8_t> garbage(23, 0xAB);
+    for (const auto &frame : frames) {
+        ASSERT_TRUE(client.sendFrame(garbage.data(), garbage.size()));
+        ASSERT_TRUE(client.sendFrame(frame.data(), frame.size()));
+    }
+    std::vector<net::PredictionReply> replies;
+    ASSERT_TRUE(client.awaitResponses(frames.size(), replies));
+    EXPECT_EQ(clientPaths(replies, 6), fleet.engines[0]->predictionsFor(6));
+
+    router.drain();
+    const cluster::RouterStats stats = router.stats();
+    router.stop();
+    EXPECT_EQ(stats.framesIn, 6u);
+    EXPECT_EQ(stats.framesResynced, 6u);
+    EXPECT_EQ(stats.resyncBytesSkipped, 138u);
+}
+
+TEST(ClusterRouter, ServesAPipelinedBurstLargerThanItsInputCap)
+{
+    // The input cap bounds an incomplete tail, not the complete
+    // frames that arrive together: a burst four times the cap, read
+    // 1 KiB at a time, is routed in full.
+    Fleet fleet(1);
+    cluster::RouterConfig config = testRouterConfig(fleet);
+    config.maxInBufferBytes = 4096;
+    config.readChunkBytes = 1024;
+    cluster::Router router(config);
+    ASSERT_TRUE(router.start());
+
+    const auto frames = makeFrames(7, 0, 64, 48);
+    std::vector<std::uint8_t> burst;
+    for (const auto &frame : frames)
+        burst.insert(burst.end(), frame.begin(), frame.end());
+    ASSERT_EQ(burst.size(), 16640u);
+
+    net::ClientConfig clientCfg;
+    clientCfg.port = router.port();
+    net::Client client(clientCfg);
+    ASSERT_TRUE(client.connect());
+    ASSERT_TRUE(client.sendFrame(burst.data(), burst.size()));
+    std::vector<net::PredictionReply> replies;
+    ASSERT_TRUE(client.awaitResponses(frames.size(), replies));
+    ASSERT_EQ(replies.size(), frames.size());
+    expectUniqueReplies(replies);
+    EXPECT_EQ(clientPaths(replies, 7), fleet.engines[0]->predictionsFor(7));
+
+    router.drain();
+    router.stop();
+}
+
+TEST(ClusterRouter, AnswersAndClosesHalfClosedClients)
+{
+    // A client that half-closes right after its last frame is still
+    // answered in full, and the router closes the connection once the
+    // last reply is flushed.
+    Fleet fleet(1);
+    cluster::Router router(testRouterConfig(fleet));
+    ASSERT_TRUE(router.start());
+
+    const auto frames = makeFrames(9, 0, 6, 48);
+    std::vector<std::uint8_t> stream;
+    for (const auto &frame : frames)
+        stream.insert(stream.end(), frame.begin(), frame.end());
+    net::Fd fd = net::connectTcp("127.0.0.1", router.port());
+    ASSERT_TRUE(fd.valid());
+    ASSERT_EQ(::send(fd.get(), stream.data(), stream.size(),
+                     MSG_NOSIGNAL),
+              static_cast<ssize_t>(stream.size()));
+    ASSERT_EQ(::shutdown(fd.get(), SHUT_WR), 0);
+
+    // Read to the router's close.
+    std::vector<std::uint8_t> bytes;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    bool eof = false;
+    while (!eof && std::chrono::steady_clock::now() < deadline) {
+        std::uint8_t buf[4096];
+        const ssize_t got = ::recv(fd.get(), buf, sizeof(buf), 0);
+        if (got > 0)
+            bytes.insert(bytes.end(), buf, buf + got);
+        else if (got == 0)
+            eof = true;
+        else
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_TRUE(eof);
+    std::vector<std::uint64_t> sequences;
+    std::size_t off = 0;
+    wire::DecodedFrame reply;
+    while (wire::decodeFrame(bytes.data(), bytes.size(), off, reply) ==
+           wire::DecodeStatus::Ok)
+        sequences.push_back(reply.header.sequence);
+    EXPECT_EQ(off, bytes.size());
+    EXPECT_EQ(sequences, (std::vector<std::uint64_t>{0, 1, 2, 3, 4, 5}));
+
+    router.drain();
+    const cluster::RouterStats stats = router.stats();
+    router.stop();
+    EXPECT_EQ(stats.responsesOut, frames.size());
+    EXPECT_EQ(stats.closed, 1u);
+    EXPECT_EQ(stats.activeConnections, 0u);
+}
+
+TEST(ClusterRouter, HalfClosedClientAwaitingAReplyDoesNotSpin)
+{
+    // The backend accepts and never answers, so the client's one
+    // frame stays in flight after it half-closes. Its EOF must not
+    // keep the router thread busy while the reply is owed.
+    std::uint16_t backendPort = 0;
+    net::Fd backend = net::listenTcp("127.0.0.1", 0, &backendPort);
+    ASSERT_TRUE(backend.valid());
+    cluster::RouterConfig config;
+    config.backends = {{"127.0.0.1", backendPort}};
+    config.tickMs = 2;
+    config.connectAttempts = 3;
+    config.retryBaseMs = 1;
+    config.drainTimeoutMs = 50;
+    cluster::Router router(config);
+    ASSERT_TRUE(router.start());
+    const net::Fd accepted(::accept(backend.get(), nullptr, nullptr));
+    ASSERT_TRUE(accepted.valid());
+
+    net::Fd client = net::connectTcp("127.0.0.1", router.port());
+    ASSERT_TRUE(client.valid());
+    const auto frames = makeFrames(5, 0, 1, 48);
+    ASSERT_EQ(::send(client.get(), frames[0].data(), frames[0].size(),
+                     MSG_NOSIGNAL),
+              static_cast<ssize_t>(frames[0].size()));
+    ASSERT_EQ(::shutdown(client.get(), SHUT_WR), 0);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (router.stats().framesRouted == 0 &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ASSERT_EQ(router.stats().framesRouted, 1u);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+    const auto cpuNs = [] {
+        timespec ts{};
+        ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+        return std::int64_t{ts.tv_sec} * 1'000'000'000 + ts.tv_nsec;
+    };
+    const std::int64_t before = cpuNs();
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    const std::int64_t used = cpuNs() - before;
+    EXPECT_LT(used, 100'000'000)
+        << "process CPU over 300 ms: " << used / 1'000'000 << " ms";
+
+    router.stop();
+}
+
 TEST(ClusterRouter, StopCountsOpenConnectionsAsClosed)
 {
     // A client still connected at stop() is closed by the teardown;
@@ -1023,54 +1189,9 @@ TEST(ClusterRouter, AdminEndpointServesMetricsTopologyAndStats)
     ASSERT_TRUE(client.awaitResponses(frames.size(), replies));
 
     const auto adminRequest = [&](const std::string &path) {
-        net::Fd fd = net::connectTcp("127.0.0.1",
-                                     router.adminPort());
-        EXPECT_TRUE(fd.valid());
-        if (!fd.valid())
-            return std::string();
-        const std::string request =
-            "GET " + path + " HTTP/1.0\r\n\r\n";
-        std::size_t off = 0;
-        while (off < request.size()) {
-            const ssize_t wrote =
-                ::send(fd.get(), request.data() + off,
-                       request.size() - off, MSG_NOSIGNAL);
-            if (wrote > 0) {
-                off += static_cast<std::size_t>(wrote);
-                continue;
-            }
-            if (wrote < 0 && (errno == EINTR || errno == EAGAIN ||
-                              errno == EWOULDBLOCK)) {
-                pollfd pfd{fd.get(), POLLOUT, 0};
-                ::poll(&pfd, 1, 20);
-                continue;
-            }
-            return std::string();
-        }
-        std::string response;
-        char buf[4096];
-        const auto deadline = std::chrono::steady_clock::now() +
-                              std::chrono::milliseconds(2000);
-        while (std::chrono::steady_clock::now() < deadline) {
-            const ssize_t got =
-                ::read(fd.get(), buf, sizeof(buf));
-            if (got > 0) {
-                response.append(buf,
-                                static_cast<std::size_t>(got));
-                continue;
-            }
-            if (got == 0)
-                break;
-            if (errno == EAGAIN || errno == EWOULDBLOCK) {
-                pollfd pfd{fd.get(), POLLIN, 0};
-                ::poll(&pfd, 1, 20);
-                continue;
-            }
-            if (errno == EINTR)
-                continue;
-            return std::string();
-        }
-        return response;
+        return net::httpRequest("127.0.0.1", router.adminPort(),
+                                "GET " + path + " HTTP/1.0\r\n\r\n",
+                                2000);
     };
 
     const std::string health = adminRequest("/healthz");

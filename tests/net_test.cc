@@ -7,9 +7,10 @@
  * mid-batch, half-closed clients (FIN with the last frame or after
  * the replies), graceful drain, client connect backoff, completion
  * replies for frames the engine rejects at decode (bad CRC, wrong
- * kind), call() composing with pipelined traffic, and the admin
- * introspection endpoint (/metrics, /healthz across drain, /stats,
- * malformed-request survival).
+ * kind), call() composing with pipelined traffic, client-side
+ * resync past corrupt replies, and the admin introspection endpoint
+ * (/metrics, /healthz across drain, /stats, malformed-request
+ * survival).
  *
  * Every server here binds an ephemeral loopback port, so tests run
  * in parallel without port collisions.
@@ -750,6 +751,44 @@ TEST(NetClient, CallBuffersPipelinedRepliesForLaterPolls)
     server.stop();
 }
 
+TEST(NetClient, ResyncsPastCorruptReplies)
+{
+    // A raw peer answers with garbage, a good reply, the same reply
+    // with a broken CRC, and another good reply - all in one send.
+    // The client delivers the two good replies and resyncs past the
+    // garbage and the damaged reply, counting exactly their bytes.
+    std::uint16_t port = 0;
+    net::Fd listener = net::listenTcp("127.0.0.1", 0, &port);
+    ASSERT_TRUE(listener.valid());
+    net::ClientConfig clientCfg;
+    clientCfg.port = port;
+    net::Client client(clientCfg);
+    ASSERT_TRUE(client.connect());
+    const net::Fd peer(::accept(listener.get(), nullptr, nullptr));
+    ASSERT_TRUE(peer.valid());
+
+    const wire::PredictionRecord record{3, 7};
+    std::vector<std::uint8_t> stream(17, 0xAB);
+    wire::appendPredictionFrame(stream, 9, 1, &record, 1);
+    std::vector<std::uint8_t> broken;
+    wire::appendPredictionFrame(broken, 9, 2, &record, 1);
+    broken.back() ^= 0xFF; // last CRC byte
+    ASSERT_EQ(broken.size(), 13u);
+    stream.insert(stream.end(), broken.begin(), broken.end());
+    wire::appendPredictionFrame(stream, 9, 3, &record, 1);
+    ASSERT_EQ(::send(peer.get(), stream.data(), stream.size(),
+                     MSG_NOSIGNAL),
+              static_cast<ssize_t>(stream.size()));
+
+    std::vector<net::PredictionReply> replies;
+    ASSERT_TRUE(client.awaitResponses(2, replies));
+    ASSERT_EQ(replies.size(), 2u);
+    EXPECT_EQ(replies[0].sequence, 1u);
+    EXPECT_EQ(replies[1].sequence, 3u);
+    EXPECT_EQ(client.stats().resyncs, 2u);
+    EXPECT_EQ(client.stats().resyncBytesSkipped, 30u);
+}
+
 TEST(NetClient, ConnectBacksOffAndGivesUp)
 {
     // Bind a listener only to learn a port that is then closed, so
@@ -774,57 +813,13 @@ TEST(NetClient, ConnectBacksOffAndGivesUp)
 namespace
 {
 
-/** One raw request against the admin port: write `request`, read to
- *  EOF (the server closes after every response), return the full
- *  HTTP response. "" means connect/write/read failed. */
+/** One raw request against the admin port: the full HTTP response
+ *  (the server closes after every response); "" means
+ *  connect/write/read failed. */
 std::string
 adminRequest(std::uint16_t port, const std::string &request)
 {
-    net::Fd fd = net::connectTcp("127.0.0.1", port);
-    if (!fd.valid())
-        return "";
-    using Clock = std::chrono::steady_clock;
-    const auto deadline =
-        Clock::now() + std::chrono::milliseconds(2000);
-
-    std::size_t off = 0;
-    while (off < request.size() && Clock::now() < deadline) {
-        const ssize_t wrote = ::write(
-            fd.get(), request.data() + off, request.size() - off);
-        if (wrote > 0) {
-            off += static_cast<std::size_t>(wrote);
-            continue;
-        }
-        if (wrote < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-            pollfd pfd{fd.get(), POLLOUT, 0};
-            ::poll(&pfd, 1, 20);
-            continue;
-        }
-        if (wrote < 0 && errno == EINTR)
-            continue;
-        return "";
-    }
-
-    std::string response;
-    char buf[4096];
-    while (Clock::now() < deadline) {
-        const ssize_t got = ::read(fd.get(), buf, sizeof(buf));
-        if (got > 0) {
-            response.append(buf, static_cast<std::size_t>(got));
-            continue;
-        }
-        if (got == 0)
-            break;
-        if (errno == EAGAIN || errno == EWOULDBLOCK) {
-            pollfd pfd{fd.get(), POLLIN, 0};
-            ::poll(&pfd, 1, 20);
-            continue;
-        }
-        if (errno == EINTR)
-            continue;
-        return "";
-    }
-    return response;
+    return net::httpRequest("127.0.0.1", port, request, 2000);
 }
 
 net::ServerConfig
