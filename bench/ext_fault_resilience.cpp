@@ -11,7 +11,8 @@
  * byte-identical output. Each row also re-checks the frame
  * conservation invariants (nothing is ever lost silently; every
  * injected fault is matched by a reject, drop or recovery counter)
- * and the bench exits non-zero if any row breaks them.
+ * and the bench exits non-zero if any row - or, with --timing, the
+ * threaded overload run - breaks them.
  *
  * Flags (all optional):
  *   --fault-seed=<u64>  fault-injection schedule seed (default 7)
@@ -135,6 +136,21 @@ rowConfig(double rate, const Policy &policy, std::uint64_t fault_seed)
     return config;
 }
 
+/** The frame ledger: every submitted frame is accounted for as
+ *  rejected, visibly dropped, shed or decoded - and every decoded
+ *  frame as applied or visibly dropped. */
+bool
+framesConserved(const engine::EngineStats &stats)
+{
+    const engine::FaultRecoveryStats &fault = stats.fault;
+    return stats.framesSubmitted ==
+               stats.framesRejected + fault.injectedDrops +
+                   fault.shedFrames + stats.framesDecoded &&
+           stats.framesDecoded == fault.framesApplied +
+                                      fault.backoffDroppedFrames +
+                                      fault.allocDroppedFrames;
+}
+
 RowResult
 runRow(const std::vector<SessionFrames> &sessions,
        const engine::EngineConfig &config)
@@ -158,17 +174,9 @@ runRow(const std::vector<SessionFrames> &sessions,
         row.predicted.emplace_back(paths.begin(), paths.end());
     }
 
-    // Frame conservation: every submitted frame is accounted for as
-    // rejected, visibly dropped, shed or decoded - and every decoded
-    // frame as applied or visibly dropped.
     const engine::FaultRecoveryStats &fault = row.stats.fault;
     row.conserved =
-        row.stats.framesSubmitted ==
-            row.stats.framesRejected + fault.injectedDrops +
-                fault.shedFrames + row.stats.framesDecoded &&
-        row.stats.framesDecoded ==
-            fault.framesApplied + fault.backoffDroppedFrames +
-                fault.allocDroppedFrames &&
+        framesConserved(row.stats) &&
         fault.framesQuarantined == row.stats.framesRejected &&
         fault.injectedAllocFails == fault.allocDroppedFrames;
     return row;
@@ -344,6 +352,13 @@ main(int argc, char **argv)
                       static_cast<double>(clean.events),
             2);
         overload.print(std::cout);
+
+        const bool overload_conserved = framesConserved(stats);
+        all_conserved = all_conserved && overload_conserved;
+        std::cout << "\noverload accounting: "
+                  << (overload_conserved ? "OK" : "BROKEN")
+                  << " (submitted == rejected + dropped + shed + "
+                     "decoded; decoded == applied + backoff + alloc)\n";
     }
 
     return all_conserved ? 0 : 1;

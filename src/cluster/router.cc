@@ -325,8 +325,8 @@ Router::acceptPending()
         net::setNoDelay(conn.get());
         const std::uint64_t id = nextConnId++;
         ClientConn client;
-        client.framed =
-            net::FramedConn(std::move(conn), cfg.maxInBufferBytes);
+        client.framed = net::FramedConn(
+            std::move(conn), cfg.maxInBufferBytes, cfg.maxOutBufferBytes);
         client.id = id;
         conns.emplace(id, std::move(client));
         accepted.add();
@@ -523,11 +523,6 @@ Router::forwardReply(std::uint64_t client_conn,
         responsesDropped.add();
         return;
     }
-    ClientConn &conn = it->second;
-    if (conn.framed.pendingBytes() > cfg.maxOutBufferBytes) {
-        responsesDropped.add();
-        return;
-    }
     replyScratch.clear();
     if (reply.isState)
         wire::appendSessionStateFrame(replyScratch, reply.session,
@@ -537,8 +532,10 @@ Router::forwardReply(std::uint64_t client_conn,
                                     reply.sequence,
                                     reply.predictions.data(),
                                     reply.predictions.size());
-    responsesOut.add();
-    flushClient(conn, replyScratch);
+    if (flushClient(it->second, replyScratch))
+        responsesOut.add();
+    else
+        responsesDropped.add();
 }
 
 void
@@ -554,19 +551,25 @@ Router::synthesizeReply(std::uint64_t session,
     replyScratch.clear();
     wire::appendPredictionFrame(replyScratch, session, sequence,
                                 nullptr, 0);
-    responsesSynthesized.add();
-    flushClient(it->second, replyScratch);
+    // A refused reply is dropped, not synthesized, so the ledger
+    // frames in == out + synthesized + dropped still closes.
+    if (flushClient(it->second, replyScratch))
+        responsesSynthesized.add();
+    else
+        responsesDropped.add();
 }
 
-void
+bool
 Router::flushClient(ClientConn &conn,
                     const std::vector<std::uint8_t> &reply)
 {
-    conn.framed.append(reply.data(), reply.size());
+    if (!conn.framed.append(reply.data(), reply.size()))
+        return false; // over the client's backlog cap
     // WouldBlock: POLLOUT resumes the flush. After a failed write the
     // client closes once nothing is owed - never here: this may run
     // inside the client's own scan.
     conn.framed.flush();
+    return true;
 }
 
 void

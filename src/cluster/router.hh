@@ -430,8 +430,10 @@ class Router
     void synthesizeToConn(std::uint64_t session,
                           std::uint64_t sequence,
                           std::uint64_t client_conn);
-    /** Queue `reply` on a client and flush its replies. */
-    void flushClient(ClientConn &conn,
+    /** Queue `reply` on a client and flush its replies. Returns
+     *  false, queueing nothing, when the reply would take the
+     *  client's backlog past maxOutBufferBytes. */
+    bool flushClient(ClientConn &conn,
                      const std::vector<std::uint8_t> &reply);
     void closeClient(std::uint64_t conn_id);
     /** Reconnect a broken backend and replay its ledger, or declare

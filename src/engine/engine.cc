@@ -160,11 +160,10 @@ Engine::Engine(EngineConfig config)
         if (cfg.overloadPolicy == OverloadPolicy::DropOldest)
             queues.back()->degradation =
                 std::make_unique<DegradationPolicy>(cfg.degradation);
-        else if (worker_count > 0)
-            // The scaling path: lock-free handoff (serial mode never
-            // queues, so it skips the allocation).
+        // Serial mode never queues, so it skips the allocation.
+        if (worker_count > 0)
             queues.back()->ring =
-                std::make_unique<support::MpscRing<QueuedFrame>>(
+                std::make_unique<support::BoundedRing<QueuedFrame>>(
                     cfg.queueCapacityFrames);
         const std::string prefix =
             "engine.shard." + std::to_string(i);
@@ -309,22 +308,6 @@ Engine::submitShared(
 }
 
 SubmitStatus
-Engine::trySubmit(std::vector<std::uint8_t> &frame, std::uint64_t tag,
-                  std::uint64_t span_ns)
-{
-    FrameBuf buf(std::move(frame));
-    const SubmitStatus status =
-        routeFrame(buf, tag, /*blocking=*/false, span_ns);
-    // Backpressure leaves the frame with the caller and must not
-    // disturb the conservation ledger; everything else was taken.
-    if (status == SubmitStatus::Backpressure)
-        frame = std::move(buf.owned);
-    else
-        framesSubmitted.fetch_add(1, std::memory_order_relaxed);
-    return status;
-}
-
-SubmitStatus
 Engine::trySubmitShared(
     const std::shared_ptr<const std::vector<std::uint8_t>> &buffer,
     std::size_t offset, std::size_t length, std::uint64_t tag,
@@ -445,114 +428,99 @@ Engine::routeFrame(FrameBuf &frame, std::uint64_t tag, bool blocking,
     }
 
     ShardQueue &queue = *queues[shard_index];
-    if (queue.ring) {
-        // Count the frame in flight first so drain() can never
-        // observe a pushed-but-uncounted frame.
-        pendingFrames.fetch_add(1, std::memory_order_relaxed);
-        // Idle shard: claim it and run the frame here, which saves
-        // the worker's wake-up and the hand-off back. Only a 0 -> 1
-        // claim succeeds, so the frame cannot overtake a queued one.
-        std::uint32_t idle = 0;
-        if (may_run_inline && !local.onWorker && !local.running &&
-            queue.active.compare_exchange_strong(
-                idle, 1, std::memory_order_acquire,
-                std::memory_order_relaxed)) {
-            runInline(shard_index, frame, tag, span_ns,
-                      /*claimed=*/true);
-            return SubmitStatus::Accepted;
-        }
-        // Lock-free handoff: one CAS to enqueue.
-        queue.active.fetch_add(1, std::memory_order_relaxed);
-        QueuedFrame qf{std::move(frame), tag, span_ns};
-        if (!queue.ring->tryPush(qf)) {
-            if (!blocking) {
-                frame = std::move(qf.buf);
-                // Undo the in-flight counts.
-                queue.active.fetch_sub(1, std::memory_order_relaxed);
-                noteFrameDone(1);
-                return SubmitStatus::Backpressure;
-            }
-            queue.backpressureWaits.add();
-            backpressureWaits.add();
-            // Full: park until the worker frees a slot. The waiter
-            // count tells the worker to bother with the notify; the
-            // timeout makes a lost race self-heal (see kParkTimeout).
-            std::unique_lock<std::mutex> lock(queue.spaceMu);
-            queue.spaceWaiters.fetch_add(1,
-                                         std::memory_order_seq_cst);
-            while (!queue.ring->tryPush(qf))
-                queue.spaceAvailable.wait_for(lock, kParkTimeout);
-            queue.spaceWaiters.fetch_sub(1,
-                                         std::memory_order_seq_cst);
-        }
-        noteQueueDepth(queue, shard_index, queue.ring->size());
-        wakeWorker(*workerStates[queue.worker]);
+    // Count the frame in flight first so drain() can never observe a
+    // pushed-but-uncounted frame.
+    pendingFrames.fetch_add(1, std::memory_order_relaxed);
+    // Idle shard: claim it and run the frame here, which saves the
+    // worker's wake-up and the hand-off back. Only a 0 -> 1 claim
+    // succeeds, so the frame cannot overtake a queued one. A
+    // DropOldest shard always queues: its spike detector counts
+    // every submit.
+    std::uint32_t idle = 0;
+    if (may_run_inline && !queue.degradation && !local.onWorker &&
+        !local.running &&
+        queue.active.compare_exchange_strong(
+            idle, 1, std::memory_order_acquire,
+            std::memory_order_relaxed)) {
+        runInline(shard_index, frame, tag, span_ns, /*claimed=*/true);
         return SubmitStatus::Accepted;
     }
-
-    // Locked deque backend (OverloadPolicy::DropOldest).
-    QueuedFrame shed_frame;
-    bool did_shed = false;
-    {
-        std::unique_lock<std::mutex> lock(queue.mu);
-        bool saturated =
-            queue.frames.size() >= cfg.queueCapacityFrames;
-        bool shed_oldest = false;
-        if (queue.degradation) {
-            // Dynamo's flush-on-spike heuristic, pointed at queue
-            // pressure: only *sustained* saturation flips the shard
-            // into load shedding; a transient burst still blocks.
-            const DegradationMode prev = queue.degradation->mode();
-            const DegradationMode mode =
-                queue.degradation->onEvent(saturated);
-            if (prev == DegradationMode::Normal &&
-                mode == DegradationMode::Degraded && tmOverloadSpikes)
-                tmOverloadSpikes->add(1);
-            shed_oldest =
-                saturated && mode == DegradationMode::Degraded;
+    // Lock-free handoff: one CAS to enqueue (a DropOldest shard's
+    // producer first takes the lock that feeds its spike detector).
+    queue.active.fetch_add(1, std::memory_order_relaxed);
+    QueuedFrame qf{std::move(frame), tag, span_ns};
+    const bool pushed = queue.degradation ? pushOrShed(queue, qf)
+                                          : queue.ring->tryPush(qf);
+    if (!pushed) {
+        if (!blocking) {
+            frame = std::move(qf.buf);
+            // Undo the in-flight counts.
+            queue.active.fetch_sub(1, std::memory_order_relaxed);
+            noteFrameDone(1);
+            return SubmitStatus::Backpressure;
         }
+        queue.backpressureWaits.add();
+        backpressureWaits.add();
+        // Full: park until the worker frees a slot. The waiter count
+        // tells the worker to bother with the notify; the timeout
+        // makes a lost race self-heal (see kParkTimeout).
+        std::unique_lock<std::mutex> lock(queue.spaceMu);
+        queue.spaceWaiters.fetch_add(1, std::memory_order_seq_cst);
+        while (!queue.ring->tryPush(qf))
+            queue.spaceAvailable.wait_for(lock, kParkTimeout);
+        queue.spaceWaiters.fetch_sub(1, std::memory_order_seq_cst);
+    }
+    noteQueueDepth(queue, shard_index, queue.ring->size());
+    wakeWorker(*workerStates[queue.worker]);
+    return SubmitStatus::Accepted;
+}
+
+bool
+Engine::pushOrShed(ShardQueue &queue, QueuedFrame &frame)
+{
+    std::vector<QueuedFrame> shed;
+    {
+        std::lock_guard<std::mutex> lock(queue.shedMu);
+        const bool pushed = queue.ring->tryPush(frame);
+        // Dynamo's flush-on-spike heuristic, pointed at queue
+        // pressure: only *sustained* saturation flips the shard into
+        // load shedding; a transient burst still blocks.
+        const DegradationMode prev = queue.degradation->mode();
+        const DegradationMode mode = queue.degradation->onEvent(!pushed);
+        if (prev == DegradationMode::Normal &&
+            mode == DegradationMode::Degraded && tmOverloadSpikes)
+            tmOverloadSpikes->add(1);
         // Control-plane override: the adaptive controller saw
         // sustained queue pressure across epochs and pre-armed
         // shedding - skip the spike detector's warm-up.
-        if (saturated && forcedShed.load(std::memory_order_relaxed))
-            shed_oldest = true;
-        if (shed_oldest) {
-            // Degraded: admit the fresh frame by shedding the oldest
-            // queued one (stale profile data is the cheapest loss).
-            shed_frame = std::move(queue.frames.front());
-            queue.frames.pop_front();
-            did_shed = true;
-            framesShed.add();
-            noteFrameDone(1);
-        } else if (saturated) {
-            if (!blocking)
-                return SubmitStatus::Backpressure;
-            queue.backpressureWaits.add();
-            backpressureWaits.add();
-            queue.spaceAvailable.wait(lock, [&] {
-                return queue.frames.size() <
-                       cfg.queueCapacityFrames;
-            });
+        if (pushed || (mode != DegradationMode::Degraded &&
+                       !forcedShed.load(std::memory_order_relaxed)))
+            return pushed;
+        // Degraded: admit the fresh frame by shedding the oldest
+        // queued one (stale profile data is the cheapest loss). The
+        // lock keeps the shard's other producers out, so one shed
+        // makes the room - unless a producer parked in routeFrame()
+        // takes the slot first, and the loop sheds again.
+        while (!queue.ring->tryPush(frame)) {
+            QueuedFrame oldest;
+            if (queue.ring->tryPop(oldest))
+                shed.push_back(std::move(oldest));
+            else
+                std::this_thread::yield(); // a push or pop is mid-slot
         }
-        pendingFrames.fetch_add(1, std::memory_order_relaxed);
-        queue.frames.push_back({std::move(frame), tag, span_ns});
-        noteQueueDepth(queue, shard_index, queue.frames.size());
     }
     // A shed frame never reaches a worker, so its completion fires
-    // here (outside the queue lock) or its submitter's in-flight
-    // count would never drain.
-    if (did_shed)
-        completeUnapplied(shed_frame.buf.data(),
-                          shed_frame.buf.size(), shed_frame.tag,
-                          nullptr);
-
-    WorkerState &worker = *workerStates[queue.worker];
-    {
-        std::lock_guard<std::mutex> lock(worker.mu);
-        worker.wake = true;
+    // here (outside the lock: the callback may submit) or its
+    // submitter's in-flight count would never drain.
+    for (const QueuedFrame &oldest : shed) {
+        framesShed.add();
+        completeUnapplied(oldest.buf.data(), oldest.buf.size(),
+                          oldest.tag, nullptr);
     }
-    worker.workAvailable.notify_one();
-    return SubmitStatus::Accepted;
+    queue.active.fetch_sub(static_cast<std::uint32_t>(shed.size()),
+                           std::memory_order_relaxed);
+    noteFrameDone(shed.size());
+    return true;
 }
 
 bool
@@ -914,56 +882,26 @@ Engine::workerLoop(std::size_t worker_index)
         for (const std::size_t shard_index : self.shards) {
             ShardQueue &queue = *queues[shard_index];
             batch.clear();
-            if (queue.ring) {
-                queue.ring->popBatch(batch, cfg.maxBatchFrames);
-                if (batch.empty())
-                    continue;
-                // Batch-notify: blocked producers register in
-                // spaceWaiters, so the common case (nobody blocked)
-                // costs one load here and no lock.
-                if (queue.spaceWaiters.load(
-                        std::memory_order_seq_cst) != 0) {
-                    {
-                        std::lock_guard<std::mutex> lock(
-                            queue.spaceMu);
-                    }
-                    queue.spaceAvailable.notify_all();
-                }
-                if (tmQueueDepth)
-                    tmQueueDepth->set(static_cast<std::int64_t>(
-                        std::min(queue.ring->size(),
-                                 cfg.queueCapacityFrames)));
-                if (tmShardDepth[shard_index])
-                    tmShardDepth[shard_index]->set(
-                        static_cast<std::int64_t>(
-                            std::min(queue.ring->size(),
-                                     cfg.queueCapacityFrames)));
-            } else {
+            queue.ring->popBatch(batch, cfg.maxBatchFrames);
+            if (batch.empty())
+                continue;
+            did_work = true;
+            // Batch-notify: blocked producers register in
+            // spaceWaiters, so the common case (nobody blocked) costs
+            // one load here and no lock.
+            if (queue.spaceWaiters.load(std::memory_order_seq_cst) !=
+                0) {
                 {
-                    std::lock_guard<std::mutex> lock(queue.mu);
-                    const std::size_t n = std::min(
-                        queue.frames.size(), cfg.maxBatchFrames);
-                    for (std::size_t i = 0; i < n; ++i) {
-                        batch.push_back(
-                            std::move(queue.frames.front()));
-                        queue.frames.pop_front();
-                    }
-                    if (n > 0) {
-                        if (tmQueueDepth)
-                            tmQueueDepth->set(
-                                static_cast<std::int64_t>(
-                                    queue.frames.size()));
-                        if (tmShardDepth[shard_index])
-                            tmShardDepth[shard_index]->set(
-                                static_cast<std::int64_t>(
-                                    queue.frames.size()));
-                    }
+                    std::lock_guard<std::mutex> lock(queue.spaceMu);
                 }
-                if (batch.empty())
-                    continue;
                 queue.spaceAvailable.notify_all();
             }
-            did_work = true;
+            const auto depth = static_cast<std::int64_t>(
+                std::min(queue.ring->size(), cfg.queueCapacityFrames));
+            if (tmQueueDepth)
+                tmQueueDepth->set(depth);
+            if (tmShardDepth[shard_index])
+                tmShardDepth[shard_index]->set(depth);
 
             batchesPopped.add();
             if (tmBatchSize)
@@ -984,10 +922,9 @@ Engine::workerLoop(std::size_t worker_index)
             }
             // Callbacks included: until here the shard stays claimed,
             // so no submitter can run a frame inline past this batch.
-            if (queue.ring)
-                queue.active.fetch_sub(
-                    static_cast<std::uint32_t>(batch.size()),
-                    std::memory_order_release);
+            queue.active.fetch_sub(
+                static_cast<std::uint32_t>(batch.size()),
+                std::memory_order_release);
             noteFrameDone(batch.size());
         }
         if (did_work) {
@@ -999,6 +936,9 @@ Engine::workerLoop(std::size_t worker_index)
                 injector->shouldInject(fault::Site::WorkerStall)) {
                 // Cooperative injected stall: park until the
                 // watchdog notices and releases us (or shutdown).
+                // The release is counted here, once per stall: the
+                // watchdog may raise the flag again on every tick
+                // before we see it.
                 workersStalled.add();
                 countInjected(fault::Site::WorkerStall);
                 self.stalled.store(true, std::memory_order_release);
@@ -1007,6 +947,8 @@ Engine::workerLoop(std::size_t worker_index)
                        !stopping.load(std::memory_order_acquire))
                     std::this_thread::sleep_for(
                         std::chrono::microseconds(200));
+                if (self.stallRelease.load(std::memory_order_relaxed))
+                    workersUnstalled.add();
                 self.stalled.store(false, std::memory_order_relaxed);
                 self.stallRelease.store(false,
                                         std::memory_order_relaxed);
@@ -1019,61 +961,35 @@ Engine::workerLoop(std::size_t worker_index)
         // rings - any producer that pushed after our sweep either
         // sees sleeping==true (and notifies) or published before the
         // fence (and the re-check finds the frame).
-        const bool lock_free =
-            !self.shards.empty() && queues[self.shards[0]]->ring;
-        if (lock_free) {
-            self.sleeping.store(true, std::memory_order_relaxed);
-            std::atomic_thread_fence(std::memory_order_seq_cst);
-            bool found = false;
-            for (const std::size_t shard_index : self.shards) {
-                if (!queues[shard_index]->ring->empty()) {
-                    found = true;
-                    break;
-                }
-            }
-            if (found && !stopping.load(std::memory_order_acquire)) {
-                self.sleeping.store(false,
-                                    std::memory_order_relaxed);
-                continue;
-            }
+        self.sleeping.store(true, std::memory_order_relaxed);
+        std::atomic_thread_fence(std::memory_order_seq_cst);
+        const bool all_empty =
+            std::all_of(self.shards.begin(), self.shards.end(),
+                        [&](std::size_t shard_index) {
+                            return queues[shard_index]->ring->empty();
+                        });
+        if (!all_empty && !stopping.load(std::memory_order_acquire)) {
+            self.sleeping.store(false, std::memory_order_relaxed);
+            continue;
         }
 
         std::unique_lock<std::mutex> lock(self.mu);
         if (stopping.load(std::memory_order_acquire)) {
             self.sleeping.store(false, std::memory_order_relaxed);
-            // Drain-before-stop means the queues are already empty
-            // by the time stopping is observed; double-check anyway.
-            bool all_empty = true;
-            for (const std::size_t shard_index : self.shards) {
-                ShardQueue &queue = *queues[shard_index];
-                if (queue.ring) {
-                    all_empty = all_empty && queue.ring->empty();
-                } else {
-                    std::lock_guard<std::mutex> qlock(queue.mu);
-                    all_empty =
-                        all_empty && queue.frames.empty();
-                }
-            }
+            // Drain-before-stop means the rings are already empty by
+            // the time stopping is observed; double-check anyway.
             if (all_empty)
                 return;
             continue;
         }
         const std::uint64_t before_wait = telemetry::monotonicNanos();
         self.busyNs.add(before_wait - mark);
-        if (lock_free) {
-            // Timed park: the fence handshake above makes a missed
-            // notify nearly impossible; the timeout makes even that
-            // self-heal (see kParkTimeout).
-            self.workAvailable.wait_for(lock, kParkTimeout, [&] {
-                return self.wake ||
-                       stopping.load(std::memory_order_acquire);
-            });
-        } else {
-            self.workAvailable.wait(lock, [&] {
-                return self.wake ||
-                       stopping.load(std::memory_order_acquire);
-            });
-        }
+        // Timed park: the fence handshake above makes a missed notify
+        // nearly impossible; the timeout makes even that self-heal
+        // (see kParkTimeout).
+        self.workAvailable.wait_for(lock, kParkTimeout, [&] {
+            return self.wake || stopping.load(std::memory_order_acquire);
+        });
         self.wake = false;
         self.sleeping.store(false, std::memory_order_relaxed);
         mark = telemetry::monotonicNanos();
@@ -1095,11 +1011,10 @@ Engine::watchdogLoop()
         for (std::size_t w = 0; w < workerStates.size(); ++w) {
             WorkerState &worker = *workerStates[w];
             if (worker.stalled.load(std::memory_order_acquire)) {
-                // Injected stall: release the worker and count the
-                // recovery.
+                // Injected stall: release the worker, which counts
+                // the recovery when it wakes.
                 worker.stallRelease.store(true,
                                           std::memory_order_release);
-                workersUnstalled.add();
                 continue;
             }
             const std::uint64_t beat =
@@ -1230,18 +1145,15 @@ Engine::stats() const
             queue->highWater.load(std::memory_order_relaxed));
         stats.queueBackpressureWaits.push_back(
             queue->backpressureWaits.get());
-        if (queue->ring) {
-            // Lock-free backend: the accounting is all atomic.
-            stats.queueDepth.push_back(
-                std::min(queue->ring->size(),
-                         cfg.queueCapacityFrames));
-            continue;
-        }
-        std::lock_guard<std::mutex> lock(queue->mu);
-        stats.queueDepth.push_back(queue->frames.size());
-        if (queue->degradation)
+        stats.queueDepth.push_back(
+            queue->ring ? std::min(queue->ring->size(),
+                                   cfg.queueCapacityFrames)
+                        : 0);
+        if (queue->degradation) {
+            std::lock_guard<std::mutex> lock(queue->shedMu);
             stats.fault.degradedEntries +=
                 queue->degradation->degradedEntries();
+        }
     }
     stats.workerBusyNs.reserve(workerStates.size());
     stats.workerIdleNs.reserve(workerStates.size());

@@ -5,7 +5,7 @@
  *
  * Data flow:
  *
- *   producers --submit(frame bytes)--> per-shard bounded MPSC rings
+ *   producers --submit(frame bytes)--> per-shard bounded rings
  *        --> worker threads: decode + CRC-check + Session::apply
  *
  * The ingest path only peeks the frame header (cheap varint reads) to
@@ -27,8 +27,8 @@
  * Scaling model (see docs/ARCHITECTURE.md "Threading and memory
  * model" for the full picture):
  *
- *  - Handoff is a bounded lock-free MPSC ring per shard
- *    (support/mpsc_ring.hh): producers enqueue with one CAS, no
+ *  - Handoff is a bounded lock-free ring per shard
+ *    (support/bounded_ring.hh): producers enqueue with one CAS, no
  *    mutex, and only touch a condition variable on the full-queue
  *    slow path. Workers batch-pop and only notify sleepers
  *    (batch-notify, Dekker-style sleeping flag + seq_cst fences,
@@ -55,11 +55,12 @@
  * Backpressure: a full shard queue blocks submit() until the owning
  * worker drains room (counted in engine.backpressure.waits). This
  * bounds memory under overload instead of dropping or buffering
- * without limit. Under OverloadPolicy::DropOldest the shard keeps the
- * original mutex+deque queue instead of the lock-free ring: shedding
- * the *oldest* queued frame requires producers to pop, which only the
- * locked backend supports (resilience traffic is not the scaling
- * path). Its frames never run inline: the spike detector counts
+ * without limit. Under OverloadPolicy::DropOldest a saturated shard
+ * that its spike detector judges degraded (or that forced shedding
+ * covers) does not block: the producer pops the *oldest* queued frame
+ * from the same ring, completes it unapplied on its own thread and
+ * pushes its frame - so a stalled worker never stalls its producers.
+ * Such a shard's frames never run inline: the spike detector counts
  * every submit.
  *
  * With workerThreads == 0 the engine runs in serial fallback mode,
@@ -101,8 +102,8 @@
 #include "dynamo/flush.hh"
 #include "engine/session_table.hh"
 #include "engine/wire_format.hh"
+#include "support/bounded_ring.hh"
 #include "support/fault_injector.hh"
-#include "support/mpsc_ring.hh"
 #include "telemetry/stat.hh"
 
 namespace hotpath
@@ -125,14 +126,16 @@ enum class OverloadPolicy
      * Normally block, but once the shard's DegradationPolicy judges
      * the saturation a sustained overload spike, shed the *oldest*
      * queued frame to admit the new one (freshest-data-wins), counted
-     * in engine.recovered.shed.frames. Selecting this policy keeps
-     * the shard queues on the locked mutex+deque backend (producers
-     * must be able to pop the oldest frame).
+     * in engine.recovered.shed.frames. The producer pops the shed
+     * frame from the shard's ring itself and completes it unapplied
+     * on its own thread, so it never waits on the worker. The shard's
+     * producers serialize on a per-shard mutex that feeds the spike
+     * detector, and its frames never run inline.
      */
     DropOldest,
 };
 
-/** Outcome of a nonblocking trySubmit(). */
+/** Outcome of a nonblocking trySubmitShared(). */
 enum class SubmitStatus
 {
     /** Frame routed (or rejected-and-counted); ownership taken. */
@@ -166,8 +169,8 @@ struct FrameOutcome
     /** The frame's sequence number (0 when the header was
      *  unreadable). */
     std::uint64_t sequence = 0;
-    /** Caller-supplied routing tag from submit()/trySubmit() (the
-     *  net server stores the originating connection id here). */
+    /** Caller-supplied routing tag from submit()/trySubmitShared()
+     *  (the net server stores the originating connection id here). */
     std::uint64_t tag = 0;
     /** Events the frame carried (0 unless it decoded). */
     std::uint32_t events = 0;
@@ -216,9 +219,9 @@ struct EngineConfig
      *  (submit always processes frames inline). */
     std::size_t workerThreads = 4;
 
-    /** Per-shard queue bound in frames; producers block when full.
-     *  Under OverloadPolicy::Block (lock-free rings) the bound is
-     *  rounded up to a power of two. */
+    /** Per-shard queue bound in frames; producers block (or, under
+     *  OverloadPolicy::DropOldest, may shed) when full. Rounded up to
+     *  a power of two under either policy. */
     std::size_t queueCapacityFrames = 256;
 
     /** Frames a worker drains from one shard per batch (also the
@@ -444,35 +447,15 @@ class Engine
      * producer that pre-encodes a whole session's frames into one
      * buffer pays no per-frame allocation at all. The slice must be
      * exactly one frame. The buffer must stay immutable while any
-     * slice of it is in flight. Like trySubmit(), the fault-injection
-     * preamble does not apply (it would have to mutate the shared
-     * bytes); unlike trySubmit(), a full queue blocks.
+     * slice of it is in flight. Like trySubmitShared(), the
+     * fault-injection preamble does not apply (it would have to mutate
+     * the shared bytes); unlike trySubmitShared(), a full queue
+     * blocks.
      */
     bool submitShared(
         std::shared_ptr<const std::vector<std::uint8_t>> buffer,
         std::size_t offset, std::size_t length,
         std::uint64_t tag = 0);
-
-    /**
-     * Nonblocking submit for event-loop callers: behaves like
-     * submit() except that a saturated shard queue returns
-     * SubmitStatus::Backpressure immediately, leaving `frame` intact
-     * and uncounted so the caller can park it and retry. Unlike
-     * submit(), the fault-injection preamble (drop/corrupt/delay) is
-     * not applied - a network caller's faults happen on the socket,
-     * not in the producer.
-     *
-     * `span_ns` != 0 marks the frame as span-sampled by the caller
-     * and carries the caller's enqueue timestamp
-     * (telemetry::monotonicNanos()): the engine records the frame's
-     * queue-wait, decode and predict stages against the recorder
-     * installed with setSpanRecorder(), and sets
-     * FrameOutcome::spanSampled so the caller can time the reply
-     * stages. Pass 0 (the default) for unsampled frames.
-     */
-    SubmitStatus trySubmit(std::vector<std::uint8_t> &frame,
-                           std::uint64_t tag = 0,
-                           std::uint64_t span_ns = 0);
 
     /**
      * Nonblocking submitShared(): ingest one frame as an
@@ -482,8 +465,17 @@ class Engine
      * event-loop callers (the net server submits socket read-buffer
      * slices through here). On Backpressure nothing is counted and
      * the caller's buffer reference is untouched - retry the same
-     * slice later. Like trySubmit(), the fault-injection preamble is
-     * not applied. `span_ns` as in trySubmit().
+     * slice later. The fault-injection preamble (drop/corrupt/delay)
+     * is not applied - a network caller's faults happen on the
+     * socket, not in the producer.
+     *
+     * `span_ns` != 0 marks the frame as span-sampled by the caller
+     * and carries the caller's enqueue timestamp
+     * (telemetry::monotonicNanos()): the engine records the frame's
+     * queue-wait, decode and predict stages against the recorder
+     * installed with setSpanRecorder(), and sets
+     * FrameOutcome::spanSampled so the caller can time the reply
+     * stages. Pass 0 (the default) for unsampled frames.
      *
      * `may_run_inline` = false hands the frame to its shard's worker
      * even when the shard is idle, so the call returns without
@@ -554,13 +546,13 @@ class Engine
     }
 
     /**
-     * Force overload shedding on (or back to automatic with false).
-     * Only meaningful under OverloadPolicy::DropOldest: while forced,
-     * a saturated shard sheds its oldest queued frame immediately
+     * Force overload shedding on (or back to automatic with false) -
+     * the adaptive controller's queue-pressure response. Only
+     * meaningful under OverloadPolicy::DropOldest: while forced, a
+     * saturated shard sheds its oldest queued frame immediately
      * instead of waiting for the spike detector to judge the
      * saturation sustained. Under OverloadPolicy::Block the flag is
-     * recorded but has no effect (the lock-free rings cannot shed) -
-     * the adaptive controller's queue-pressure response.
+     * recorded but has no effect: Block never sheds.
      */
     void setForcedShedding(bool on)
     {
@@ -651,10 +643,10 @@ class Engine
 
   private:
     /**
-     * One routed frame's bytes: either an owned buffer (submit /
-     * trySubmit moved the caller's vector in) or a refcounted
-     * [off, off+len) slice of a shared buffer (submitShared). Owned
-     * by value so it can ride through the lock-free ring.
+     * One routed frame's bytes: either an owned buffer (submit moved
+     * the caller's vector in) or a refcounted [off, off+len) slice of
+     * a shared buffer (submitShared, trySubmitShared). Owned by value
+     * so it can ride through the lock-free ring.
      */
     struct FrameBuf
     {
@@ -700,37 +692,34 @@ class Engine
     };
 
     /**
-     * One shard's handoff queue. Exactly one backend is active per
-     * engine: the lock-free ring under OverloadPolicy::Block (the
-     * scaling path), the mutex+deque under DropOldest (producers
-     * must be able to shed the oldest frame, and the spike detector
-     * runs per submit under the lock). `spaceAvailable` pairs with
-     * `mu` in deque mode and with `spaceMu` in ring mode (the modes
-     * never coexist).
+     * One shard's handoff queue: a lock-free ring the owning worker
+     * batch-pops (null in serial mode, which never queues). Under
+     * OverloadPolicy::DropOldest a degraded producer pops from it
+     * too, to shed the oldest frame (see pushOrShed()).
      */
     struct ShardQueue
     {
-        // Ring backend (OverloadPolicy::Block).
-        std::unique_ptr<support::MpscRing<QueuedFrame>> ring;
+        std::unique_ptr<support::BoundedRing<QueuedFrame>> ring;
+        /** Producers park on spaceAvailable (under spaceMu) while the
+         *  ring is full. */
         std::mutex spaceMu;
+        std::condition_variable spaceAvailable;
         /** Producers currently parked on a full ring; consumers only
          *  touch spaceMu when this is nonzero. */
         std::atomic<std::uint32_t> spaceWaiters{0};
 
-        // Deque backend (OverloadPolicy::DropOldest).
-        std::mutex mu;
-        std::deque<QueuedFrame> frames;
-        // Overload spike detector (consulted under mu).
-        std::unique_ptr<DegradationPolicy> degradation;
-
-        /** Ring backend: frames queued or being processed. A
-         *  producer counts its frame before the push, a worker
-         *  uncounts its batch once processed, and a submitter may
-         *  run a frame inline only by claiming the shard 0 -> 1. */
+        /** Frames queued or being processed. A producer counts its
+         *  frame before the push, a worker uncounts its batch once
+         *  processed, and a submitter may run a frame inline only by
+         *  claiming the shard 0 -> 1. */
         std::atomic<std::uint32_t> active{0};
 
-        // Shared accounting and ownership.
-        std::condition_variable spaceAvailable;
+        /** Overload spike detector, DropOldest only (null under
+         *  Block); fed once per submit under shedMu, which also keeps
+         *  the shard's other producers out while one sheds. */
+        std::unique_ptr<DegradationPolicy> degradation;
+        std::mutex shedMu;
+
         std::atomic<std::size_t> highWater{0};
         /** Mirrors into engine.shard.<i>.backpressure.waits. */
         telemetry::CounterStat backpressureWaits;
@@ -816,13 +805,22 @@ class Engine
                              std::unique_lock<std::mutex> &shard_lock);
 
     /** Post-injection routing shared by submit(), submitShared(),
-     *  trySubmit(), submitBuffer() and delayed redelivery: header
-     *  peek, reject, then inline or enqueue. On Backpressure (nonblocking
-     *  callers only) `frame` is left intact. `span_ns` as in
-     *  processFrame(); `may_run_inline` as in trySubmitShared(). */
+     *  trySubmitShared(), submitBuffer() and delayed redelivery:
+     *  header peek, reject, then inline or enqueue. On Backpressure
+     *  (nonblocking callers only) `frame` is left intact. `span_ns`
+     *  as in processFrame(); `may_run_inline` as in
+     *  trySubmitShared(). */
     SubmitStatus routeFrame(FrameBuf &frame, std::uint64_t tag,
                             bool blocking, std::uint64_t span_ns = 0,
                             bool may_run_inline = true);
+
+    /** DropOldest enqueue: push `frame`, feeding the shard's spike
+     *  detector whether the ring was full. A full, degraded (or
+     *  forced-shedding) shard pops its oldest frames until the push
+     *  succeeds and completes them unapplied on this thread. Returns
+     *  false - `frame` intact - when the ring was full and nothing
+     *  was shed. */
+    bool pushOrShed(ShardQueue &queue, QueuedFrame &frame);
 
     /** Attribute a decode failure to its session's error budget;
      *  poisons/rebuilds when the budget is exhausted. Caller holds
@@ -869,7 +867,7 @@ class Engine
 
     std::atomic<bool> stopping{false};
     /** Control-plane override: shed on saturation without waiting
-     *  for the spike detector (DropOldest backend only). */
+     *  for the spike detector (DropOldest shards only). */
     std::atomic<bool> forcedShed{false};
     std::atomic<bool> warnedReject{false};
     std::atomic<bool> warnedStall{false};

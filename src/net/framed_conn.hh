@@ -81,9 +81,11 @@ class FramedConn
     FramedConn() = default;
 
     /** Frame the non-blocking stream socket `fd`; the unparsed tail
-     *  may hold at most `max_in_bytes`. */
-    explicit FramedConn(Fd fd, std::size_t max_in_bytes = SIZE_MAX)
-        : sock(std::move(fd)), maxIn(max_in_bytes)
+     *  may hold at most `max_in_bytes`, the unsent backlog at most
+     *  `max_out_bytes`. */
+    explicit FramedConn(Fd fd, std::size_t max_in_bytes = SIZE_MAX,
+                        std::size_t max_out_bytes = SIZE_MAX)
+        : sock(std::move(fd)), maxIn(max_in_bytes), maxOut(max_out_bytes)
     {
     }
 
@@ -111,11 +113,16 @@ class FramedConn
     /** Bytes read but not yet consumed by a scan. */
     std::size_t bufferedBytes() const { return in.size(); }
 
-    /** Queue `size` bytes for writing. */
-    void
+    /** Queue `size` bytes for writing. Returns false, queueing
+     *  nothing, when they would take pendingBytes() past the output
+     *  cap. */
+    bool
     append(const std::uint8_t *data, std::size_t size)
     {
+        if (size > maxOut - pendingBytes())
+            return false;
         out.insert(out.end(), data, data + size);
+        return true;
     }
 
     /** Queued bytes not yet written. */
@@ -132,6 +139,7 @@ class FramedConn
   private:
     Fd sock;
     std::size_t maxIn = SIZE_MAX;
+    std::size_t maxOut = SIZE_MAX;
     std::vector<std::uint8_t> in;
     std::vector<std::uint8_t> out;
     /** Written prefix of `out`. */

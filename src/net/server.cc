@@ -329,7 +329,8 @@ Server::drainInbox(Reactor &reactor)
     for (std::size_t i = 0; i < conns.size(); ++i) {
         Connection conn;
         conn.id = ids[i];
-        conn.framed = FramedConn(std::move(conns[i]), cfg.maxInBufferBytes);
+        conn.framed = FramedConn(std::move(conns[i]), cfg.maxInBufferBytes,
+                                 cfg.maxOutBufferBytes);
         conn.lastActivityTick = reactor.tick;
         epoll_event ev{};
         ev.events = EPOLLIN | EPOLLOUT | EPOLLRDHUP | EPOLLET;
@@ -359,14 +360,13 @@ Server::drainInbox(Reactor &reactor)
         Connection &conn = it->second;
         if (conn.inFlight > 0)
             --conn.inFlight;
-        if (conn.framed.pendingBytes() + reply.bytes.size() >
-            cfg.maxOutBufferBytes) {
+        if (!conn.framed.append(reply.bytes.data(), reply.bytes.size())) {
+            // The reply would overflow the backlog cap.
             responsesDropped.add();
             if (reply.sampled)
                 spans.recordStage(telemetry::Stage::WriteFlush, 0);
             continue;
         }
-        conn.framed.append(reply.bytes.data(), reply.bytes.size());
         if (reply.sampled)
             conn.spanWrites.emplace_back(
                 conn.framed.flushedBytes() + conn.framed.pendingBytes(),
@@ -842,7 +842,7 @@ Server::stop()
         if (reactor->thread.joinable())
             reactor->thread.join();
     }
-    // Reactors could still trySubmit after drain()'s quiet window;
+    // Reactors could still submit after drain()'s quiet window;
     // now that they are joined no new submissions are possible, so
     // one more engine drain guarantees no worker is inside the
     // frame callback while it is cleared (setFrameCallback is not

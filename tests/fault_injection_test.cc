@@ -7,13 +7,16 @@
  * gating, delayed-frame redelivery, the degradation policy's
  * enter/exit discipline, and load shedding under sustained overload.
  *
- * Everything except the final threaded test runs the engine in
- * serial mode, where the injection schedule is a pure function of
+ * Everything except the two threaded shedding tests runs the engine
+ * in serial mode, where the injection schedule is a pure function of
  * the fault seed and the submission order - so every count asserted
  * here is exact, not a bound.
  */
 
+#include <atomic>
 #include <cstdint>
+#include <mutex>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -474,4 +477,84 @@ TEST(EngineResilience, LoadShedPreservesHitRateWithinBounds)
             static_cast<double>(session.stats().eventsProcessed);
     }));
     EXPECT_NEAR(shed_hit_rate, reference_hit_rate, 1e-12);
+}
+
+TEST(EngineResilience,
+     ForcedSheddingDropsTheOldestQueuedFramesWithoutBlocking)
+{
+    // The worker is held inside frame 0's completion callback while
+    // the test thread submits frames 1-10 into a 4-frame queue. With
+    // shedding forced, no submit may block behind the stalled worker:
+    // each one past the bound sheds the oldest queued frame, which
+    // completes unapplied on the submitting thread.
+    EngineConfig config;
+    config.workerThreads = 1;
+    config.queueCapacityFrames = 4;
+    config.maxBatchFrames = 4;
+    config.overloadPolicy = OverloadPolicy::DropOldest;
+
+    struct Completion
+    {
+        std::uint64_t sequence = 0;
+        bool applied = false;
+        bool onTestThread = false;
+    };
+    const std::thread::id test_thread = std::this_thread::get_id();
+    std::atomic<bool> started{false};
+    std::atomic<bool> release{false};
+    std::mutex mu;
+    std::vector<Completion> completions;
+
+    Engine eng(config);
+    eng.setForcedShedding(true);
+    eng.setFrameCallback([&](const FrameOutcome &outcome) {
+        if (outcome.sequence == 0) {
+            started.store(true, std::memory_order_release);
+            while (!release.load(std::memory_order_acquire))
+                std::this_thread::yield();
+        }
+        std::lock_guard<std::mutex> lock(mu);
+        completions.push_back(
+            {outcome.sequence, outcome.applied,
+             std::this_thread::get_id() == test_thread});
+    });
+
+    const auto frames = makeFrames(/*session=*/5, 11, 16);
+    EXPECT_TRUE(eng.submit(frames[0]));
+    while (!started.load(std::memory_order_acquire))
+        std::this_thread::yield();
+    for (std::size_t seq = 1; seq <= 10; ++seq)
+        EXPECT_TRUE(eng.submit(frames[seq]));
+    std::vector<Completion> before_release;
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        before_release = completions;
+    }
+    release.store(true, std::memory_order_release);
+    eng.drain();
+
+    std::lock_guard<std::mutex> lock(mu);
+    ASSERT_EQ(before_release.size(), 6u);
+    for (std::size_t i = 0; i < before_release.size(); ++i) {
+        EXPECT_EQ(before_release[i].sequence, i + 1);
+        EXPECT_FALSE(before_release[i].applied);
+        EXPECT_TRUE(before_release[i].onTestThread);
+    }
+    ASSERT_EQ(completions.size(), 11u);
+    const std::uint64_t kept[] = {0, 7, 8, 9, 10};
+    for (std::size_t i = 0; i < 5; ++i) {
+        EXPECT_EQ(completions[6 + i].sequence, kept[i]);
+        EXPECT_TRUE(completions[6 + i].applied);
+    }
+
+    const EngineStats stats = eng.stats();
+    EXPECT_EQ(stats.fault.shedFrames, 6u);
+    EXPECT_EQ(stats.fault.framesApplied, 5u);
+    EXPECT_EQ(stats.framesSubmitted,
+              stats.framesRejected + stats.fault.injectedDrops +
+                  stats.fault.shedFrames + stats.framesDecoded);
+    EXPECT_EQ(stats.framesDecoded,
+              stats.fault.framesApplied +
+                  stats.fault.backoffDroppedFrames +
+                  stats.fault.allocDroppedFrames);
 }

@@ -2,8 +2,8 @@
  * @file
  * net::FramedConn over a socketpair: a frame torn across reads, the
  * input cap applied to an incomplete tail only, a Stop verdict
- * leaving the suffix for the next scan, and partial flushes
- * delivering every byte.
+ * leaving the suffix for the next scan, partial flushes delivering
+ * every byte, and the output cap refusing a whole reply.
  */
 
 #include <poll.h>
@@ -34,13 +34,16 @@ struct Pair
     net::Fd peer;
 
     explicit Pair(std::size_t max_in_bytes =
+                      std::numeric_limits<std::size_t>::max(),
+                  std::size_t max_out_bytes =
                       std::numeric_limits<std::size_t>::max())
     {
         int fds[2] = {-1, -1};
         EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0,
                                fds),
                   0);
-        conn = net::FramedConn(net::Fd(fds[0]), max_in_bytes);
+        conn = net::FramedConn(net::Fd(fds[0]), max_in_bytes,
+                               max_out_bytes);
         peer = net::Fd(fds[1]);
     }
 
@@ -237,4 +240,39 @@ TEST(FramedConn, PartialFlushesDeliverEveryByte)
     EXPECT_EQ(pair.conn.pendingBytes(), 0u);
     EXPECT_EQ(pair.conn.flushedBytes(), sent.size());
     EXPECT_EQ(received, sent);
+}
+
+TEST(FramedConn, OutputCapRefusesAReplyThatWouldOverflowTheBacklog)
+{
+    // The one backlog rule of the server's and the router's reply
+    // paths: a reply that would take the unsent bytes past the cap is
+    // refused whole, and one that lands exactly on it is taken.
+    Pair pair(std::numeric_limits<std::size_t>::max(),
+              /*max_out_bytes=*/100);
+    const std::vector<std::uint8_t> reply(40, 0xAB);
+    EXPECT_TRUE(pair.conn.append(reply.data(), 40));
+    EXPECT_TRUE(pair.conn.append(reply.data(), 40));
+    EXPECT_FALSE(pair.conn.append(reply.data(), 40));
+    EXPECT_EQ(pair.conn.pendingBytes(), 80u);
+    EXPECT_TRUE(pair.conn.append(reply.data(), 20));
+    EXPECT_FALSE(pair.conn.append(reply.data(), 1));
+    EXPECT_EQ(pair.conn.pendingBytes(), 100u);
+
+    // Written bytes leave the backlog, which makes room again.
+    ASSERT_EQ(pair.conn.flush(), net::IoStatus::Ok);
+    EXPECT_EQ(pair.conn.pendingBytes(), 0u);
+    EXPECT_TRUE(pair.conn.append(reply.data(), 40));
+    ASSERT_EQ(pair.conn.flush(), net::IoStatus::Ok);
+
+    // The peer gets exactly the accepted bytes.
+    std::uint8_t buf[256];
+    const ssize_t got = ::read(pair.peer.get(), buf, sizeof(buf));
+    EXPECT_EQ(got, 140);
+    EXPECT_EQ(pair.conn.flushedBytes(), 140u);
+
+    // A reply larger than the cap is refused even with no backlog.
+    Pair tiny(std::numeric_limits<std::size_t>::max(),
+              /*max_out_bytes=*/10);
+    EXPECT_FALSE(tiny.conn.append(reply.data(), reply.size()));
+    EXPECT_EQ(tiny.conn.pendingBytes(), 0u);
 }

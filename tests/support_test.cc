@@ -15,8 +15,8 @@
 #include <sstream>
 #include <thread>
 
+#include "support/bounded_ring.hh"
 #include "support/function_ref.hh"
-#include "support/mpsc_ring.hh"
 #include "support/random.hh"
 #include "support/stats.hh"
 #include "support/table.hh"
@@ -344,19 +344,19 @@ TEST(FunctionRefTest, MutatesThroughReference)
     EXPECT_EQ(seen, (std::vector<int>{1, 2}));
 }
 
-// MpscRing ---------------------------------------------------------
+// BoundedRing ------------------------------------------------------
 
 TEST(MpscRingTest, CapacityRoundsUpToPowerOfTwo)
 {
-    support::MpscRing<int> ring(5);
+    support::BoundedRing<int> ring(5);
     EXPECT_EQ(ring.capacity(), 8u);
-    support::MpscRing<int> exact(16);
+    support::BoundedRing<int> exact(16);
     EXPECT_EQ(exact.capacity(), 16u);
 }
 
 TEST(MpscRingTest, FifoOrderSingleThread)
 {
-    support::MpscRing<int> ring(8);
+    support::BoundedRing<int> ring(8);
     EXPECT_TRUE(ring.empty());
     for (int i = 0; i < 8; ++i) {
         int v = i;
@@ -375,7 +375,7 @@ TEST(MpscRingTest, FifoOrderSingleThread)
 
 TEST(MpscRingTest, FullPushFailsAndLeavesValueIntact)
 {
-    support::MpscRing<std::string> ring(2);
+    support::BoundedRing<std::string> ring(2);
     std::string a = "a";
     std::string b = "b";
     ASSERT_TRUE(ring.tryPush(a));
@@ -395,7 +395,7 @@ TEST(MpscRingTest, FullPushFailsAndLeavesValueIntact)
 
 TEST(MpscRingTest, PopBatchDrainsInOrderUpToLimit)
 {
-    support::MpscRing<int> ring(16);
+    support::BoundedRing<int> ring(16);
     for (int i = 0; i < 10; ++i) {
         int v = i;
         ASSERT_TRUE(ring.tryPush(v));
@@ -411,7 +411,7 @@ TEST(MpscRingTest, PopBatchDrainsInOrderUpToLimit)
 
 TEST(MpscRingTest, SlotsAreReusableAcrossWraps)
 {
-    support::MpscRing<int> ring(4);
+    support::BoundedRing<int> ring(4);
     for (int round = 0; round < 100; ++round) {
         for (int i = 0; i < 4; ++i) {
             int v = round * 4 + i;
@@ -429,13 +429,12 @@ TEST(MpscRingTest, SlotsAreReusableAcrossWraps)
 
 TEST(MpscRingTest, MultiProducerDeliversEveryValueOnce)
 {
-    // 4 producers, one consumer (the ring's contract), bounded
-    // capacity so producers spin on a full ring: every pushed value
-    // must arrive exactly once, and each producer's own values in
-    // order.
+    // 4 producers, one consumer, bounded capacity so producers spin
+    // on a full ring: every pushed value must arrive exactly once,
+    // and each producer's own values in order.
     constexpr int kProducers = 4;
     constexpr int kPerProducer = 20000;
-    support::MpscRing<std::uint64_t> ring(64);
+    support::BoundedRing<std::uint64_t> ring(64);
 
     std::vector<std::thread> producers;
     for (int p = 0; p < kProducers; ++p) {
@@ -476,4 +475,74 @@ TEST(MpscRingTest, MultiProducerDeliversEveryValueOnce)
     for (int p = 0; p < kProducers; ++p)
         EXPECT_EQ(next[p],
                   static_cast<std::uint64_t>(kPerProducer));
+}
+
+TEST(BoundedRingTest, ProducersPoppingOnFullLoseAndDuplicateNothing)
+{
+    // The engine's drop-oldest producers pop from the ring they push
+    // to: 4 producers, each of which pops one value (and records it)
+    // whenever its push finds the ring full, race one batch-draining
+    // consumer. Every value must surface exactly once - in a consumer
+    // batch or in some producer's record - and every popper must see
+    // each producer's values in push order.
+    constexpr int kProducers = 4;
+    constexpr int kPerProducer = 20000;
+    support::BoundedRing<std::uint64_t> ring(16);
+
+    std::vector<std::vector<std::uint64_t>> shed(kProducers);
+    std::atomic<int> finished{0};
+    std::vector<std::thread> producers;
+    for (int p = 0; p < kProducers; ++p) {
+        producers.emplace_back([&, p] {
+            for (int i = 0; i < kPerProducer; ++i) {
+                std::uint64_t v =
+                    (static_cast<std::uint64_t>(p) << 32) |
+                    static_cast<std::uint64_t>(i);
+                while (!ring.tryPush(v)) {
+                    std::uint64_t oldest = 0;
+                    if (ring.tryPop(oldest))
+                        shed[p].push_back(oldest);
+                }
+            }
+            finished.fetch_add(1, std::memory_order_release);
+        });
+    }
+
+    std::vector<std::uint64_t> consumed;
+    std::vector<std::uint64_t> batch;
+    for (;;) {
+        const bool last =
+            finished.load(std::memory_order_acquire) == kProducers;
+        batch.clear();
+        ring.popBatch(batch, 8);
+        consumed.insert(consumed.end(), batch.begin(), batch.end());
+        if (batch.empty()) {
+            if (last)
+                break;
+            std::this_thread::yield();
+        }
+    }
+    for (std::thread &producer : producers)
+        producer.join();
+    EXPECT_TRUE(ring.empty());
+
+    std::vector<int> seen(
+        static_cast<std::size_t>(kProducers) * kPerProducer, 0);
+    auto account = [&](const std::vector<std::uint64_t> &popped) {
+        std::vector<std::int64_t> last(kProducers, -1);
+        for (const std::uint64_t v : popped) {
+            const auto p = static_cast<std::size_t>(v >> 32);
+            const auto i = static_cast<std::int64_t>(v & 0xffffffffu);
+            ASSERT_LT(p, static_cast<std::size_t>(kProducers));
+            ASSERT_LT(i, kPerProducer);
+            ASSERT_GT(i, last[p]) << "producer " << p;
+            last[p] = i;
+            ++seen[p * kPerProducer + static_cast<std::size_t>(i)];
+        }
+    };
+    account(consumed);
+    for (const std::vector<std::uint64_t> &record : shed)
+        account(record);
+    for (std::size_t k = 0; k < seen.size(); ++k)
+        ASSERT_EQ(seen[k], 1) << "value " << k;
 }
