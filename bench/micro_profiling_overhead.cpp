@@ -13,6 +13,9 @@
  *    recorded execution trace (replay-only is the baseline to
  *    subtract).
  *
+ * Beside them sit the serving layers' rows: stream synthesis, wire
+ * encode (one frame, and a whole stream) and wire decode.
+ *
  * Counter space is reported as a benchmark counter next to the time.
  */
 
@@ -53,17 +56,22 @@ namespace
  * workload/trace statics below are first touched. */
 std::uint64_t gSeed = 42;
 
-/** Shared event stream (perl-like: many paths). */
+/** The shared stream's workload (perl-like: many paths). */
+CalibratedWorkload
+sharedWorkload()
+{
+    WorkloadConfig config;
+    config.flowScale = 1e-4;
+    config.seed = gSeed;
+    return CalibratedWorkload(specTarget("perl"), config);
+}
+
+/** Shared event stream. */
 const std::vector<PathEvent> &
 sharedStream()
 {
-    static const std::vector<PathEvent> stream = [] {
-        WorkloadConfig config;
-        config.flowScale = 1e-4;
-        config.seed = gSeed;
-        CalibratedWorkload workload(specTarget("perl"), config);
-        return workload.materializeStream();
-    }();
+    static const std::vector<PathEvent> stream =
+        sharedWorkload().materializeStream();
     return stream;
 }
 
@@ -202,6 +210,75 @@ BM_WireEncode(benchmark::State &state)
     state.SetBytesProcessed(static_cast<std::int64_t>(bytes));
 }
 BENCHMARK(BM_WireEncode);
+
+// Set-up and wire layer rows: the kernels that turn a calibrated
+// workload into wire frames, and the decode every ingested frame
+// pays. Items are events.
+
+static void
+BM_MaterializeStream(benchmark::State &state)
+{
+    const CalibratedWorkload workload = sharedWorkload();
+    std::size_t events = 0;
+    for (auto _ : state) {
+        const std::vector<PathEvent> stream =
+            workload.materializeStream();
+        benchmark::DoNotOptimize(stream.data());
+        benchmark::ClobberMemory();
+        events = stream.size();
+    }
+    state.counters["events"] = static_cast<double>(events);
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations() * events));
+}
+BENCHMARK(BM_MaterializeStream)->Unit(benchmark::kMillisecond);
+
+/** A whole-stream encode, 512-event frames. */
+static void
+BM_WireEncodeStream(benchmark::State &state)
+{
+    const auto &stream = sharedStream();
+    std::size_t bytes = 0;
+    for (auto _ : state) {
+        const std::vector<std::uint8_t> encoded =
+            wire::encodeEventStream(stream, 1, 512);
+        benchmark::DoNotOptimize(encoded.data());
+        benchmark::ClobberMemory();
+        bytes = encoded.size();
+    }
+    state.counters["events"] = static_cast<double>(stream.size());
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations() * stream.size()));
+    state.SetBytesProcessed(
+        static_cast<std::int64_t>(state.iterations() * bytes));
+}
+BENCHMARK(BM_WireEncodeStream)->Unit(benchmark::kMillisecond);
+
+/** decodeFrame over the same 512-event frames, one frame per
+ *  iteration, into one reused DecodedFrame (the engine's scratch). */
+static void
+BM_WireDecode(benchmark::State &state)
+{
+    const std::vector<std::uint8_t> bytes =
+        wire::encodeEventStream(sharedStream(), 1, 512);
+    wire::DecodedFrame frame;
+    std::size_t offset = 0;
+    std::size_t events = 0;
+    for (auto _ : state) {
+        if (offset == bytes.size())
+            offset = 0;
+        if (wire::decodeFrame(bytes.data(), bytes.size(), offset,
+                              frame) != wire::DecodeStatus::Ok) {
+            state.SkipWithError("decode failed");
+            break;
+        }
+        benchmark::DoNotOptimize(frame.events.data());
+        events += frame.events.size();
+    }
+    state.counters["events"] = 512;
+    state.SetItemsProcessed(static_cast<std::int64_t>(events));
+}
+BENCHMARK(BM_WireDecode);
 
 // CFG-level profiler costs (per executed block) ----------------------
 

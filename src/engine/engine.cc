@@ -1,6 +1,7 @@
 #include "engine/engine.hh"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <deque>
 #include <string>
@@ -79,6 +80,9 @@ Engine::Engine(EngineConfig config)
 {
     HOTPATH_ASSERT(cfg.queueCapacityFrames >= 1,
                    "queue capacity must be at least one frame");
+    // The rings hold a power of two; every depth gauge and clamp
+    // reads this field, so it states the capacity they really have.
+    cfg.queueCapacityFrames = std::bit_ceil(cfg.queueCapacityFrames);
     HOTPATH_ASSERT(cfg.maxBatchFrames >= 1,
                    "batch size must be at least one frame");
     HOTPATH_ASSERT(cfg.delayWindowFrames >= 1,
@@ -358,7 +362,7 @@ Engine::noteQueueDepth(ShardQueue &queue, std::size_t shard_index,
 {
     // A ring size() read can transiently overshoot the capacity (the
     // two cursors are loaded independently); clamp so the recorded
-    // high-water mark never exceeds the configured bound.
+    // high-water mark never exceeds the ring's capacity.
     const std::size_t clamped =
         std::min(depth, cfg.queueCapacityFrames);
     std::size_t prev = queue.highWater.load(std::memory_order_relaxed);

@@ -33,13 +33,12 @@ buildCrcTable()
 
 const std::array<std::uint32_t, 256> kCrcTable = buildCrcTable();
 
-void
-appendU32le(std::vector<std::uint8_t> &out, std::uint32_t v)
+/** One byte of the table-driven CRC-32 (the caller inverts the
+ *  register before the first byte and after the last). */
+inline std::uint32_t
+crcStep(std::uint32_t crc, std::uint8_t byte)
 {
-    out.push_back(static_cast<std::uint8_t>(v));
-    out.push_back(static_cast<std::uint8_t>(v >> 8));
-    out.push_back(static_cast<std::uint8_t>(v >> 16));
-    out.push_back(static_cast<std::uint8_t>(v >> 24));
+    return kCrcTable[(crc ^ byte) & 0xFF] ^ (crc >> 8);
 }
 
 std::uint32_t
@@ -58,13 +57,6 @@ zigzagDelta(std::uint64_t prev, std::uint64_t cur)
 {
     return zigzagEncode(static_cast<std::int64_t>(cur) -
                         static_cast<std::int64_t>(prev));
-}
-
-void
-appendDelta(std::vector<std::uint8_t> &out, std::uint64_t prev,
-            std::uint64_t cur)
-{
-    appendVarint(out, zigzagDelta(prev, cur));
 }
 
 /**
@@ -124,66 +116,120 @@ frameBytes(std::uint64_t session, std::uint64_t sequence,
 }
 
 /**
- * Shared frame writer: everything from `kind` through `payloadLen`,
- * then the payload, then the CRC over kind..payload. `out` grows at
- * most once per frame, and then to at least twice its capacity, so
- * appending frame after frame stays linear; a caller that sized
- * `out` for all its frames never regrows.
+ * Writes frame bytes through a cursor into space the caller already
+ * sized, folding each byte from `kind` on into the CRC as it stores
+ * it, so a frame is written in one pass with no staging copy.
  */
-void
-appendFrame(std::vector<std::uint8_t> &out, FrameKind kind,
-            std::uint64_t session, std::uint64_t sequence,
-            std::uint64_t count,
-            const std::vector<std::uint8_t> &payload)
+class FrameWriter
 {
-    const std::size_t need =
-        out.size() + frameBytes(session, sequence, count, payload.size());
-    if (need > out.capacity())
-        out.reserve(std::max(need, 2 * out.capacity()));
-    out.push_back(kMagic0);
-    out.push_back(kMagic1);
-    const std::size_t crc_begin = out.size();
-    out.push_back(static_cast<std::uint8_t>(kind));
-    appendVarint(out, session);
-    appendVarint(out, sequence);
-    appendVarint(out, count);
-    appendVarint(out, payload.size());
-    out.insert(out.end(), payload.begin(), payload.end());
-    appendU32le(out,
-                crc32(out.data() + crc_begin, out.size() - crc_begin));
+  public:
+    explicit FrameWriter(std::uint8_t *at) : cur(at) {}
+
+    /** One byte covered by the CRC. */
+    void
+    byte(std::uint8_t b)
+    {
+        *cur++ = b;
+        crc = crcStep(crc, b);
+    }
+
+    /** A LEB128 varint covered by the CRC (appendVarint's bytes). */
+    void
+    varint(std::uint64_t v)
+    {
+        while (v >= 0x80) {
+            byte(static_cast<std::uint8_t>(v) | 0x80);
+            v >>= 7;
+        }
+        byte(static_cast<std::uint8_t>(v));
+    }
+
+    /** Store the CRC so far, little endian, outside the CRC. */
+    void
+    finish()
+    {
+        const std::uint32_t v = ~crc;
+        for (int i = 0; i < 4; ++i)
+            *cur++ = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+
+    const std::uint8_t *at() const { return cur; }
+
+  private:
+    std::uint8_t *cur;
+    std::uint32_t crc = ~std::uint32_t{0};
+};
+
+/** Payload bytes of the varints `values(sink)` hands to its sink. */
+template <typename Values>
+std::size_t
+payloadBytes(Values &&values)
+{
+    std::size_t bytes = 0;
+    values([&bytes](std::uint64_t v) { bytes += varintBytes(v); });
+    return bytes;
 }
 
 /**
- * Call `fn` with each zigzag field delta of a PathEvents payload, in
- * wire order: path, head, blocks, branches and instructions, each
- * against the previous event (the first against zeros).
+ * The one frame writer: appends a frame whose payload is the varints
+ * `values(sink)` hands to its sink, in order, writing each byte in
+ * place. The header states the payload size before the payload, so
+ * the caller passes it (`payload_len`, from payloadBytes() over the
+ * same values). `out` grows at most once per frame, and then to at
+ * least twice its capacity, so appending frame after frame stays
+ * linear; a caller that sized `out` for all its frames never regrows.
  */
-template <typename Fn>
+template <typename Values>
 void
-forEachEventDelta(const PathEvent *events, std::size_t count, Fn &&fn)
+appendFrame(std::vector<std::uint8_t> &out, FrameKind kind,
+            std::uint64_t session, std::uint64_t sequence,
+            std::uint64_t count, std::size_t payload_len,
+            Values &&values)
 {
-    PathEvent prev;
-    prev.path = 0;
-    prev.head = 0;
-    for (std::size_t i = 0; i < count; ++i) {
-        const PathEvent &e = events[i];
-        fn(zigzagDelta(prev.path, e.path));
-        fn(zigzagDelta(prev.head, e.head));
-        fn(zigzagDelta(prev.blocks, e.blocks));
-        fn(zigzagDelta(prev.branches, e.branches));
-        fn(zigzagDelta(prev.instructions, e.instructions));
-        prev = e;
-    }
+    const std::size_t begin = out.size();
+    const std::size_t end =
+        begin + frameBytes(session, sequence, count, payload_len);
+    if (end > out.capacity())
+        out.reserve(std::max(end, 2 * out.capacity()));
+    out.resize(end);
+    std::uint8_t *const frame = out.data() + begin;
+    frame[0] = kMagic0;
+    frame[1] = kMagic1;
+    FrameWriter w(frame + 2);
+    w.byte(static_cast<std::uint8_t>(kind));
+    w.varint(session);
+    w.varint(sequence);
+    w.varint(count);
+    w.varint(payload_len);
+    const std::uint8_t *const payload_end = w.at() + payload_len;
+    values([&w](std::uint64_t v) { w.varint(v); });
+    HOTPATH_ASSERT(w.at() == payload_end,
+                   "frame payload does not match its size");
+    w.finish();
 }
 
-/** Payload bytes of a PathEvents frame carrying `events`. */
-std::size_t
-eventPayloadBytes(const PathEvent *events, std::size_t count)
+/**
+ * The payload varints of a PathEvents frame, in wire order: the
+ * zigzag deltas of path, head, blocks, branches and instructions,
+ * each against the previous event (the first against zeros).
+ */
+auto
+eventDeltas(const PathEvent *events, std::size_t count)
 {
-    std::size_t bytes = 0;
-    forEachEventDelta(events, count,
-                      [&bytes](std::uint64_t z) { bytes += varintBytes(z); });
-    return bytes;
+    return [events, count](auto &&sink) {
+        PathEvent prev;
+        prev.path = 0;
+        prev.head = 0;
+        for (std::size_t i = 0; i < count; ++i) {
+            const PathEvent &e = events[i];
+            sink(zigzagDelta(prev.path, e.path));
+            sink(zigzagDelta(prev.head, e.head));
+            sink(zigzagDelta(prev.blocks, e.blocks));
+            sink(zigzagDelta(prev.branches, e.branches));
+            sink(zigzagDelta(prev.instructions, e.instructions));
+            prev = e;
+        }
+    };
 }
 
 /**
@@ -391,7 +437,7 @@ crc32(const std::uint8_t *data, std::size_t size, std::uint32_t seed)
 {
     std::uint32_t crc = ~seed;
     for (std::size_t i = 0; i < size; ++i)
-        crc = kCrcTable[(crc ^ data[i]) & 0xFF] ^ (crc >> 8);
+        crc = crcStep(crc, data[i]);
     return ~crc;
 }
 
@@ -402,13 +448,9 @@ appendEventFrame(std::vector<std::uint8_t> &out, std::uint64_t session,
 {
     HOTPATH_ASSERT(count <= kMaxFrameEvents,
                    "event frame exceeds kMaxFrameEvents");
-    std::vector<std::uint8_t> payload;
-    payload.reserve(count * 5);
-    forEachEventDelta(events, count, [&payload](std::uint64_t z) {
-        appendVarint(payload, z);
-    });
+    const auto values = eventDeltas(events, count);
     appendFrame(out, FrameKind::PathEvents, session, sequence, count,
-                payload);
+                payloadBytes(values), values);
 }
 
 void
@@ -427,15 +469,15 @@ appendBlockFrame(std::vector<std::uint8_t> &out, std::uint64_t session,
 {
     HOTPATH_ASSERT(count <= kMaxFrameEvents,
                    "block frame exceeds kMaxFrameEvents");
-    std::vector<std::uint8_t> payload;
-    payload.reserve(count * 2);
-    BlockId prev = 0;
-    for (std::size_t i = 0; i < count; ++i) {
-        appendDelta(payload, prev, blocks[i]);
-        prev = blocks[i];
-    }
+    const auto values = [blocks, count](auto &&sink) {
+        BlockId prev = 0;
+        for (std::size_t i = 0; i < count; ++i) {
+            sink(zigzagDelta(prev, blocks[i]));
+            prev = blocks[i];
+        }
+    };
     appendFrame(out, FrameKind::BlockTrace, session, sequence, count,
-                payload);
+                payloadBytes(values), values);
 }
 
 void
@@ -446,17 +488,17 @@ appendPredictionFrame(std::vector<std::uint8_t> &out,
 {
     HOTPATH_ASSERT(count <= kMaxFrameEvents,
                    "prediction frame exceeds kMaxFrameEvents");
-    std::vector<std::uint8_t> payload;
-    payload.reserve(count * 4);
-    PredictionRecord prev;
-    for (std::size_t i = 0; i < count; ++i) {
-        const PredictionRecord &r = records[i];
-        appendDelta(payload, prev.head, r.head);
-        appendDelta(payload, prev.path, r.path);
-        prev = r;
-    }
+    const auto values = [records, count](auto &&sink) {
+        PredictionRecord prev;
+        for (std::size_t i = 0; i < count; ++i) {
+            const PredictionRecord &r = records[i];
+            sink(zigzagDelta(prev.head, r.head));
+            sink(zigzagDelta(prev.path, r.path));
+            prev = r;
+        }
+    };
     appendFrame(out, FrameKind::Predictions, session, sequence, count,
-                payload);
+                payloadBytes(values), values);
 }
 
 void
@@ -464,62 +506,60 @@ appendSessionStateFrame(std::vector<std::uint8_t> &out,
                         std::uint64_t session, std::uint64_t sequence,
                         const SessionState &state)
 {
-    std::vector<std::uint8_t> payload;
-    if (state.request) {
-        appendVarint(payload, 1); // flags: export request
-        appendFrame(out, FrameKind::SessionState, session, sequence,
-                    0, payload);
-        return;
-    }
     const std::uint64_t entries =
-        state.counters.size() + state.retired.size() +
-        state.fragments.size();
+        state.request ? 0
+                      : state.counters.size() + state.retired.size() +
+                            state.fragments.size();
     HOTPATH_ASSERT(entries <= kMaxFrameEvents,
                    "session-state frame exceeds kMaxFrameEvents");
-    payload.reserve(entries * 4 + 96);
-    appendVarint(payload, 0); // flags: snapshot
-    appendVarint(payload, state.predictionDelay);
-    appendVarint(payload, state.lastSequence);
-    appendVarint(payload, state.sawFrame ? 1 : 0);
-    appendVarint(payload, state.cacheClock);
+    const auto values = [&state](auto &&sink) {
+        if (state.request) {
+            sink(1); // flags: export request
+            return;
+        }
+        sink(0); // flags: snapshot
+        sink(state.predictionDelay);
+        sink(state.lastSequence);
+        sink(state.sawFrame ? 1 : 0);
+        sink(state.cacheClock);
 
-    appendVarint(payload, state.counters.size());
-    std::uint64_t prev_key = 0;
-    for (const SessionCounterEntry &c : state.counters) {
-        HOTPATH_ASSERT(c.key >= prev_key,
-                       "session-state counters must ascend");
-        appendVarint(payload, c.key - prev_key);
-        appendVarint(payload, c.count);
-        prev_key = c.key;
-    }
+        sink(state.counters.size());
+        std::uint64_t prev_key = 0;
+        for (const SessionCounterEntry &c : state.counters) {
+            HOTPATH_ASSERT(c.key >= prev_key,
+                           "session-state counters must ascend");
+            sink(c.key - prev_key);
+            sink(c.count);
+            prev_key = c.key;
+        }
 
-    appendVarint(payload, state.retired.size());
-    std::uint64_t prev_head = 0;
-    for (const std::uint32_t h : state.retired) {
-        appendVarint(payload, h - prev_head);
-        prev_head = h;
-    }
+        sink(state.retired.size());
+        std::uint64_t prev_head = 0;
+        for (const std::uint32_t h : state.retired) {
+            sink(h - prev_head);
+            prev_head = h;
+        }
 
-    appendVarint(payload, state.fragments.size());
-    std::uint64_t prev_path = 0;
-    for (const SessionFragmentEntry &f : state.fragments) {
-        appendVarint(payload, f.path - prev_path);
-        appendVarint(payload, f.instructions);
-        appendVarint(payload, f.executions);
-        appendVarint(payload, f.lastUse);
-        prev_path = f.path;
-    }
+        sink(state.fragments.size());
+        std::uint64_t prev_path = 0;
+        for (const SessionFragmentEntry &f : state.fragments) {
+            sink(f.path - prev_path);
+            sink(f.instructions);
+            sink(f.executions);
+            sink(f.lastUse);
+            prev_path = f.path;
+        }
 
-    appendVarint(payload, state.framesApplied);
-    appendVarint(payload, state.eventsProcessed);
-    appendVarint(payload, state.cachedEvents);
-    appendVarint(payload, state.interpretedEvents);
-    appendVarint(payload, state.predictions);
-    appendVarint(payload, state.sequenceGaps);
-    appendVarint(payload, state.decodeErrors);
-
+        sink(state.framesApplied);
+        sink(state.eventsProcessed);
+        sink(state.cachedEvents);
+        sink(state.interpretedEvents);
+        sink(state.predictions);
+        sink(state.sequenceGaps);
+        sink(state.decodeErrors);
+    };
     appendFrame(out, FrameKind::SessionState, session, sequence,
-                entries, payload);
+                entries, payloadBytes(values), values);
 }
 
 std::vector<std::uint8_t>
@@ -531,29 +571,30 @@ encodeEventStream(const std::vector<PathEvent> &stream,
                    "invalid frame_events");
     // Size the stream exactly before encoding it: a pass over the
     // deltas costs far less than regrowing a stream of megabytes, and
-    // the frames then append without a single reallocation.
-    const auto forEachFrame = [&](auto &&fn) {
-        std::uint64_t sequence = 0;
-        std::size_t i = 0;
-        do {
-            const std::size_t n =
-                std::min(frame_events, stream.size() - i);
-            fn(sequence++, stream.data() + i, n);
-            i += n;
-        } while (i < stream.size());
+    // the frames then append without a single reallocation. The pass
+    // keeps each frame's payload size for the write pass.
+    const std::size_t frames =
+        stream.empty() ? 1
+                       : (stream.size() + frame_events - 1) / frame_events;
+    const auto eventsIn = [&](std::size_t f) {
+        return std::min(frame_events, stream.size() - f * frame_events);
     };
+    std::vector<std::size_t> payload_bytes(frames);
     std::size_t bytes = 0;
-    forEachFrame([&](std::uint64_t sequence, const PathEvent *events,
-                     std::size_t n) {
-        bytes += frameBytes(session, sequence, n,
-                            eventPayloadBytes(events, n));
-    });
+    for (std::size_t f = 0; f < frames; ++f) {
+        const std::size_t n = eventsIn(f);
+        payload_bytes[f] = payloadBytes(
+            eventDeltas(stream.data() + f * frame_events, n));
+        bytes += frameBytes(session, f, n, payload_bytes[f]);
+    }
     std::vector<std::uint8_t> out;
     out.reserve(bytes);
-    forEachFrame([&](std::uint64_t sequence, const PathEvent *events,
-                     std::size_t n) {
-        appendEventFrame(out, session, sequence, events, n);
-    });
+    for (std::size_t f = 0; f < frames; ++f) {
+        const std::size_t n = eventsIn(f);
+        appendFrame(out, FrameKind::PathEvents, session, f, n,
+                    payload_bytes[f],
+                    eventDeltas(stream.data() + f * frame_events, n));
+    }
     return out;
 }
 

@@ -115,7 +115,9 @@ Client::pollSocket(std::vector<PredictionReply> &replies,
     // Each poll scans all it read, so only an incomplete tail waits.
     if (!conn.open())
         return -1;
-    if (!waitFor(conn.fd(), POLLIN, timeout_ms))
+    // With no time to wait, the non-blocking read below answers the
+    // same question (WouldBlock) without a poll(2) of its own.
+    if (timeout_ms > 0 && !waitFor(conn.fd(), POLLIN, timeout_ms))
         return 0;
 
     constexpr std::size_t kChunk = 64 * 1024;

@@ -54,11 +54,12 @@ std::uint64_t
 Rng::nextBounded(std::uint64_t bound)
 {
     HOTPATH_ASSERT(bound > 0);
-    // Lemire-style rejection to remove modulo bias.
-    const std::uint64_t threshold = (~bound + 1) % bound;
+    // Lemire-style rejection to remove modulo bias: reject r below
+    // 2^64 mod bound. That threshold is itself below `bound`, so only
+    // a draw below `bound` needs it, and only then is it computed.
     for (;;) {
         const std::uint64_t r = next();
-        if (r >= threshold)
+        if (r >= bound || r >= (~bound + 1) % bound)
             return r % bound;
     }
 }

@@ -320,7 +320,7 @@ CalibratedWorkload::eventFor(PathIndex path) const
 void
 CalibratedWorkload::generateRuns(
     std::uint64_t salt,
-    const std::function<void(PathIndex, std::uint64_t)> &emit) const
+    support::FunctionRef<void(PathIndex, std::uint64_t)> emit) const
 {
     std::vector<std::uint64_t> remaining = freq;
     Fenwick tree(remaining);
@@ -329,6 +329,7 @@ CalibratedWorkload::generateRuns(
 
     const double p_end =
         cfg.meanRunLength <= 1.0 ? 1.0 : 1.0 / cfg.meanRunLength;
+    const double log_keep = std::log1p(-p_end);
 
     while (total > 0) {
         const std::uint64_t pick = rng.nextBounded(total);
@@ -339,7 +340,7 @@ CalibratedWorkload::generateRuns(
         std::uint64_t run = 1;
         if (p_end < 1.0) {
             const double u = rng.nextDouble();
-            double extra = std::log1p(-u) / std::log1p(-p_end);
+            double extra = std::log1p(-u) / log_keep;
             if (!(extra >= 0.0))
                 extra = 0.0;
             extra = std::min(extra, 1e9);

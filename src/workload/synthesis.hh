@@ -23,10 +23,10 @@
 #ifndef HOTPATH_WORKLOAD_SYNTHESIS_HH
 #define HOTPATH_WORKLOAD_SYNTHESIS_HH
 
-#include <functional>
 #include <vector>
 
 #include "paths/path_event.hh"
+#include "support/function_ref.hh"
 #include "support/random.hh"
 #include "workload/spec_profile.hh"
 
@@ -121,7 +121,7 @@ class CalibratedWorkload
     /** Draw (path, run-length) bursts without replacement. */
     void generateRuns(
         std::uint64_t salt,
-        const std::function<void(PathIndex, std::uint64_t)> &emit) const;
+        support::FunctionRef<void(PathIndex, std::uint64_t)> emit) const;
 
     void buildFrequencies();
     void assignHeads();

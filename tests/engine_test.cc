@@ -73,6 +73,118 @@ sameEvent(const PathEvent &a, const PathEvent &b)
            a.instructions == b.instructions;
 }
 
+// The reference encoder: the wire layout of wire_format.hh written
+// the plain way - varints pushed byte by byte into a payload vector,
+// then magic, header, payload and crc32() over kind..payload. The
+// library's encoders must match it byte for byte.
+
+void
+refVarint(std::vector<std::uint8_t> &out, std::uint64_t v)
+{
+    while (v >= 0x80) {
+        out.push_back(static_cast<std::uint8_t>(v | 0x80));
+        v >>= 7;
+    }
+    out.push_back(static_cast<std::uint8_t>(v));
+}
+
+void
+refDelta(std::vector<std::uint8_t> &out, std::uint64_t prev,
+         std::uint64_t cur)
+{
+    const std::int64_t d =
+        static_cast<std::int64_t>(cur) - static_cast<std::int64_t>(prev);
+    refVarint(out, (static_cast<std::uint64_t>(d) << 1) ^
+                       static_cast<std::uint64_t>(d >> 63));
+}
+
+std::vector<std::uint8_t>
+refFrame(wire::FrameKind kind, std::uint64_t session,
+         std::uint64_t sequence, std::uint64_t count,
+         const std::vector<std::uint8_t> &payload)
+{
+    std::vector<std::uint8_t> out{'H', 'F',
+                                  static_cast<std::uint8_t>(kind)};
+    refVarint(out, session);
+    refVarint(out, sequence);
+    refVarint(out, count);
+    refVarint(out, payload.size());
+    out.insert(out.end(), payload.begin(), payload.end());
+    const std::uint32_t crc = wire::crc32(out.data() + 2, out.size() - 2);
+    for (int i = 0; i < 4; ++i)
+        out.push_back(static_cast<std::uint8_t>(crc >> (8 * i)));
+    return out;
+}
+
+std::vector<std::uint8_t>
+refEventFrame(std::uint64_t session, std::uint64_t sequence,
+              const PathEvent *events, std::size_t count)
+{
+    std::vector<std::uint8_t> payload;
+    PathEvent prev;
+    prev.path = 0;
+    prev.head = 0;
+    for (std::size_t i = 0; i < count; ++i) {
+        const PathEvent &e = events[i];
+        refDelta(payload, prev.path, e.path);
+        refDelta(payload, prev.head, e.head);
+        refDelta(payload, prev.blocks, e.blocks);
+        refDelta(payload, prev.branches, e.branches);
+        refDelta(payload, prev.instructions, e.instructions);
+        prev = e;
+    }
+    return refFrame(wire::FrameKind::PathEvents, session, sequence,
+                    count, payload);
+}
+
+std::vector<std::uint8_t>
+refSessionStateFrame(std::uint64_t session, std::uint64_t sequence,
+                     const wire::SessionState &state)
+{
+    std::vector<std::uint8_t> payload;
+    if (state.request) {
+        refVarint(payload, 1);
+        return refFrame(wire::FrameKind::SessionState, session,
+                        sequence, 0, payload);
+    }
+    refVarint(payload, 0);
+    refVarint(payload, state.predictionDelay);
+    refVarint(payload, state.lastSequence);
+    refVarint(payload, state.sawFrame ? 1 : 0);
+    refVarint(payload, state.cacheClock);
+    refVarint(payload, state.counters.size());
+    std::uint64_t prev = 0;
+    for (const wire::SessionCounterEntry &c : state.counters) {
+        refVarint(payload, c.key - prev);
+        refVarint(payload, c.count);
+        prev = c.key;
+    }
+    refVarint(payload, state.retired.size());
+    prev = 0;
+    for (const std::uint32_t h : state.retired) {
+        refVarint(payload, h - prev);
+        prev = h;
+    }
+    refVarint(payload, state.fragments.size());
+    prev = 0;
+    for (const wire::SessionFragmentEntry &f : state.fragments) {
+        refVarint(payload, f.path - prev);
+        refVarint(payload, f.instructions);
+        refVarint(payload, f.executions);
+        refVarint(payload, f.lastUse);
+        prev = f.path;
+    }
+    for (const std::uint64_t v :
+         {state.framesApplied, state.eventsProcessed, state.cachedEvents,
+          state.interpretedEvents, state.predictions, state.sequenceGaps,
+          state.decodeErrors})
+        refVarint(payload, v);
+    return refFrame(wire::FrameKind::SessionState, session, sequence,
+                    state.counters.size() + state.retired.size() +
+                        state.fragments.size(),
+                    payload);
+}
+
 } // namespace
 
 // Primitive encodings ----------------------------------------------
@@ -219,6 +331,142 @@ TEST(WireFormat, PeekAgreesWithFullDecode)
     EXPECT_EQ(header.session, 123456u);
     EXPECT_EQ(header.sequence, 77u);
     EXPECT_EQ(frame_end, bytes.size());
+}
+
+TEST(WireFormat, FrameEncodersMatchTheReferenceByteForByte)
+{
+    constexpr std::uint32_t kMax = ~std::uint32_t{0};
+    // Seeded full-range outliers give multi-byte varints and negative
+    // deltas; the fixed tail adds 2^32-1 fields and jumps between 0
+    // and 2^32-1 in both directions.
+    std::vector<PathEvent> events = syntheticEvents(700, 17);
+    for (const std::uint32_t v : {kMax, 0u, kMax, 1u, 0u}) {
+        PathEvent e;
+        e.path = v;
+        e.head = kMax - v;
+        e.blocks = v;
+        e.branches = kMax - v;
+        e.instructions = v;
+        events.push_back(e);
+    }
+    const std::uint64_t ids[][2] = {
+        {0, 0}, {42, 7}, {300, 1u << 20}, {~0ull, ~0ull - 1}};
+
+    for (const auto &id : ids) {
+        for (const std::size_t n : {std::size_t{0}, std::size_t{1},
+                                    std::size_t{64}, events.size()}) {
+            std::vector<std::uint8_t> got{0xAB}; // appends after it
+            wire::appendEventFrame(got, id[0], id[1], events.data(), n);
+            std::vector<std::uint8_t> want{0xAB};
+            const std::vector<std::uint8_t> frame =
+                refEventFrame(id[0], id[1], events.data(), n);
+            want.insert(want.end(), frame.begin(), frame.end());
+            EXPECT_EQ(got, want) << "events n=" << n;
+
+            std::vector<BlockId> blocks;
+            std::vector<std::uint8_t> block_payload;
+            std::vector<wire::PredictionRecord> records;
+            std::vector<std::uint8_t> record_payload;
+            BlockId prev_block = 0;
+            wire::PredictionRecord prev_record;
+            for (std::size_t i = 0; i < n; ++i) {
+                blocks.push_back(events[i].path);
+                refDelta(block_payload, prev_block, blocks.back());
+                prev_block = blocks.back();
+                records.push_back({events[i].head, events[i].path});
+                refDelta(record_payload, prev_record.head,
+                         records.back().head);
+                refDelta(record_payload, prev_record.path,
+                         records.back().path);
+                prev_record = records.back();
+            }
+            got.clear();
+            wire::appendBlockFrame(got, id[0], id[1], blocks.data(), n);
+            EXPECT_EQ(got, refFrame(wire::FrameKind::BlockTrace, id[0],
+                                    id[1], n, block_payload))
+                << "blocks n=" << n;
+            got.clear();
+            wire::appendPredictionFrame(got, id[0], id[1],
+                                        records.data(), n);
+            EXPECT_EQ(got, refFrame(wire::FrameKind::Predictions, id[0],
+                                    id[1], n, record_payload))
+                << "predictions n=" << n;
+        }
+
+        wire::SessionState request;
+        request.request = true;
+        std::vector<std::uint8_t> got;
+        wire::appendSessionStateFrame(got, id[0], id[1], request);
+        EXPECT_EQ(got, refSessionStateFrame(id[0], id[1], request));
+
+        Rng rng(id[0] ^ 0x5eed);
+        wire::SessionState snapshot;
+        snapshot.predictionDelay = 50;
+        snapshot.lastSequence = id[1];
+        snapshot.sawFrame = true;
+        snapshot.cacheClock = rng.next();
+        std::uint64_t key = 0;
+        for (int i = 0; i < 40; ++i) {
+            key += 1 + rng.nextBounded(i % 5 == 0 ? 1ull << 40 : 100);
+            snapshot.counters.push_back({key, rng.next() >> (i % 64)});
+        }
+        std::uint32_t head = 0;
+        for (int i = 0; i < 30; ++i) {
+            head += 1 + static_cast<std::uint32_t>(rng.nextBounded(
+                            i % 7 == 0 ? 1u << 24 : 50));
+            snapshot.retired.push_back(head);
+        }
+        snapshot.retired.push_back(kMax);
+        std::uint32_t path = 0;
+        for (int i = 0; i < 25; ++i) {
+            path += 1 + static_cast<std::uint32_t>(rng.nextBounded(
+                            i % 6 == 0 ? 1u << 20 : 9));
+            snapshot.fragments.push_back(
+                {path, static_cast<std::uint32_t>(rng.next()),
+                 rng.next() >> (i % 64), rng.nextBounded(1000)});
+        }
+        snapshot.fragments.push_back({kMax, kMax, ~0ull, ~0ull});
+        snapshot.framesApplied = 3;
+        snapshot.eventsProcessed = rng.next();
+        snapshot.cachedEvents = 0;
+        snapshot.interpretedEvents = kMax;
+        snapshot.predictions = 128;
+        snapshot.sequenceGaps = 1;
+        snapshot.decodeErrors = ~0ull;
+        got.clear();
+        wire::appendSessionStateFrame(got, id[0], id[1], snapshot);
+        EXPECT_EQ(got, refSessionStateFrame(id[0], id[1], snapshot));
+    }
+}
+
+TEST(WireFormat, EncodeEventStreamMatchesTheReferenceByteForByte)
+{
+    std::vector<PathEvent> events = syntheticEvents(3000, 23);
+    events[1500].path = ~std::uint32_t{0};
+    events[1501].instructions = ~std::uint32_t{0};
+    for (const std::size_t frame_events :
+         {std::size_t{1}, std::size_t{257}, std::size_t{512},
+          wire::kMaxFrameEvents}) {
+        for (const std::size_t n : {std::size_t{0}, events.size()}) {
+            const std::vector<PathEvent> stream(events.begin(),
+                                                events.begin() + n);
+            std::vector<std::uint8_t> want;
+            std::uint64_t sequence = 0;
+            std::size_t i = 0;
+            do {
+                const std::size_t k =
+                    std::min(frame_events, stream.size() - i);
+                const std::vector<std::uint8_t> frame = refEventFrame(
+                    ~0ull - 3, sequence++, stream.data() + i, k);
+                want.insert(want.end(), frame.begin(), frame.end());
+                i += k;
+            } while (i < stream.size());
+            EXPECT_EQ(wire::encodeEventStream(stream, ~0ull - 3,
+                                              frame_events),
+                      want)
+                << "frame_events=" << frame_events << " n=" << n;
+        }
+    }
 }
 
 // Defensive decoding: property tests -------------------------------
@@ -949,6 +1197,58 @@ TEST(Engine, BackpressureBoundsTheQueuesNotTheTraffic)
     EXPECT_EQ(stats.eventsProcessed, 2u * 2000u);
     for (const std::size_t hw : stats.queueHighWater)
         EXPECT_LE(hw, 2u);
+    eng.shutdown();
+}
+
+TEST(Engine, QueueDepthReportsTheRingsRoundedCapacity)
+{
+    // A capacity of 5 rounds up to an 8-slot ring. With the worker
+    // held in frame 0's callback, all 8 frames queued behind it fit,
+    // and the depth gauges must say so.
+    EngineConfig config;
+    config.workerThreads = 1;
+    config.queueCapacityFrames = 5;
+    config.sessions.shardCount = 2;
+    Engine eng(config);
+
+    std::atomic<bool> started{false};
+    std::atomic<bool> release{false};
+    eng.setFrameCallback([&](const FrameOutcome &outcome) {
+        if (outcome.sequence != 0)
+            return;
+        started.store(true, std::memory_order_release);
+        while (!release.load(std::memory_order_acquire))
+            std::this_thread::yield();
+    });
+
+    const ClientTraffic client = makeTraffic(1, 9 * 16, 16, 43)[0];
+    std::vector<std::uint8_t> concat;
+    std::vector<std::size_t> offsets;
+    for (const auto &frame : client.frames) {
+        offsets.push_back(concat.size());
+        concat.insert(concat.end(), frame.begin(), frame.end());
+    }
+    const auto shared =
+        std::make_shared<const std::vector<std::uint8_t>>(
+            std::move(concat));
+    const auto submit = [&](std::size_t f) {
+        return eng.trySubmitShared(shared, offsets[f],
+                                   client.frames[f].size(), 0, 0,
+                                   /*may_run_inline=*/false);
+    };
+    ASSERT_EQ(submit(0), SubmitStatus::Accepted);
+    while (!started.load(std::memory_order_acquire))
+        std::this_thread::yield();
+    for (std::size_t f = 1; f <= 8; ++f)
+        EXPECT_EQ(submit(f), SubmitStatus::Accepted) << "frame " << f;
+
+    const std::size_t shard = eng.sessions().shardOf(client.id);
+    const EngineStats held = eng.stats();
+    release.store(true, std::memory_order_release);
+    eng.drain();
+    EXPECT_EQ(held.queueHighWater[shard], 8u);
+    EXPECT_EQ(held.queueDepth[shard], 8u);
+    EXPECT_EQ(eng.stats().framesDecoded, 9u);
     eng.shutdown();
 }
 

@@ -64,6 +64,42 @@ TEST(RngTest, BoundedCoversAllResidues)
         EXPECT_GT(count, 1000); // roughly uniform, ~1250 expected
 }
 
+TEST(RngTest, BoundedDrawsArePinned)
+{
+    // 64 draws per bound from one seed, folded into an FNV-1a digest
+    // together with the raw draw that follows them (so a change in how
+    // many raw draws a rejection consumes shows too). At the two
+    // largest bounds a raw draw below the bound is common, so the
+    // rejection threshold is computed and applied there as well.
+    struct Pin
+    {
+        std::uint64_t bound;
+        std::uint64_t digest;
+    };
+    const Pin pins[] = {
+        {1, 0xdd7ef3ceca918baaull},
+        {7, 0xb079d47838cdbc28ull},
+        {(1ull << 32) + 3, 0x39e1fa9bfd43088eull},
+        {(1ull << 63) + 1, 0xc5bad5b10fd103dbull},
+        {~0ull, 0x578cc4fc04c3df28ull},
+    };
+    for (const Pin &pin : pins) {
+        Rng rng(20261019);
+        std::uint64_t h = 1469598103934665603ull;
+        const auto mix = [&h](std::uint64_t v) {
+            h ^= v;
+            h *= 1099511628211ull;
+        };
+        for (int i = 0; i < 64; ++i) {
+            const std::uint64_t draw = rng.nextBounded(pin.bound);
+            ASSERT_LT(draw, pin.bound);
+            mix(draw);
+        }
+        mix(rng.next());
+        EXPECT_EQ(h, pin.digest) << "bound " << pin.bound;
+    }
+}
+
 TEST(RngTest, RangeIsInclusive)
 {
     Rng rng(3);

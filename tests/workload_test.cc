@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <sstream>
 #include <unordered_set>
 
@@ -201,6 +202,59 @@ TEST(CalibratedWorkloadTest2, MaterializedEqualsGenerated)
     for (std::size_t i = 0; i < stream.size(); ++i) {
         EXPECT_EQ(stream[i].path, generated[i].path);
         EXPECT_EQ(stream[i].head, generated[i].head);
+    }
+}
+
+TEST(CalibratedWorkloadTest2, MaterializedStreamsArePinned)
+{
+    // FNV-1a over every event field of materializeStream(0) and (3)
+    // for each benchmark, with the per-session seeds perfbench uses.
+    // Any change to the sampler's draw sequence or to the event
+    // fields moves a digest.
+    struct Pin
+    {
+        const char *name;
+        std::uint64_t salt0;
+        std::uint64_t salt3;
+    };
+    const Pin pins[] = {
+        {"compress", 0x17b404c7879d7947ull, 0xea4c9e1bb90c6e43ull},
+        {"gcc", 0xc2d3dbd96bc31323ull, 0xf2d56f5c9b1d9b5dull},
+        {"go", 0x918fcd0fc2bb8122ull, 0x7a35c2ec5faa305cull},
+        {"ijpeg", 0x077e61489b5c412cull, 0xc960846b2c7d35bcull},
+        {"li", 0xeedc36e4ceb1e48dull, 0x2f32d68dd9469829ull},
+        {"m88ksim", 0xf3a4a7860e820c4bull, 0x0ad58ed45273d63dull},
+        {"perl", 0x5e38655fc54bfbe6ull, 0xfdd003e55f9c95f2ull},
+        {"vortex", 0x8fee444f76d14a24ull, 0x8d1fb6aeed34fa70ull},
+        {"deltablue", 0xb4b1fe423fc9efb8ull, 0xf92525218865e654ull},
+    };
+    const std::vector<SpecTarget> &targets = specTargets();
+    ASSERT_EQ(targets.size(), std::size(pins));
+    const auto digest = [](const std::vector<PathEvent> &stream) {
+        std::uint64_t h = 1469598103934665603ull;
+        const auto mix = [&h](std::uint64_t v) {
+            h ^= v;
+            h *= 1099511628211ull;
+        };
+        for (const PathEvent &e : stream) {
+            mix(e.path);
+            mix(e.head);
+            mix(e.blocks);
+            mix(e.branches);
+            mix(e.instructions);
+        }
+        return h;
+    };
+    for (std::size_t i = 0; i < targets.size(); ++i) {
+        ASSERT_EQ(targets[i].name, pins[i].name);
+        WorkloadConfig config;
+        config.flowScale = 1e-4;
+        config.seed = 1'000'003 + i;
+        const CalibratedWorkload workload(targets[i], config);
+        EXPECT_EQ(digest(workload.materializeStream(0)), pins[i].salt0)
+            << pins[i].name << " salt 0";
+        EXPECT_EQ(digest(workload.materializeStream(3)), pins[i].salt3)
+            << pins[i].name << " salt 3";
     }
 }
 
