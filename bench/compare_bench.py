@@ -6,7 +6,9 @@ Four subcommands:
   collect   Merge a google-benchmark JSON dump (micro_profiling_overhead
             --benchmark_format=json), engine_throughput's --json
             output, and fig5_dynamo_speedup's --json output into one
-            BENCH_sweep.json snapshot.
+            BENCH_sweep.json snapshot. A dump made with
+            --benchmark_repetitions=N keeps each row's median
+            repetition by per-item time.
 
   compare   Diff a current BENCH_sweep.json against the checked-in
             baseline (bench/baseline/BENCH_sweep.json). Exits nonzero
@@ -82,7 +84,7 @@ def collect(args):
     with open(args.micro) as f:
         micro_raw = json.load(f)
 
-    micro = {}
+    repetitions = {}
     for bench in micro_raw.get("benchmarks", []):
         if bench.get("run_type") == "aggregate":
             continue
@@ -95,7 +97,15 @@ def collect(args):
         for key in EXACT_COUNTERS + RATE_COUNTERS:
             if key in bench:
                 entry["counters"][key] = bench[key]
-        micro[bench["name"]] = entry
+        repetitions.setdefault(bench["name"], []).append(entry)
+
+    # The median repetition, not the last: one slow or fast
+    # repetition moves neither a row nor the BM_ReplayOnly floor the
+    # compare step divides every row by.
+    micro = {}
+    for name, entries in repetitions.items():
+        entries.sort(key=per_item_ns)
+        micro[name] = entries[(len(entries) - 1) // 2]
 
     out = {"schema": 1, "micro": micro}
     if args.engine:

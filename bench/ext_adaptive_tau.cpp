@@ -88,8 +88,7 @@ makeEngineConfig(std::uint64_t tau)
     cfg.workerThreads = 0; // serial: deterministic reference mode
     cfg.sessions.session.predictionDelay = tau;
     cfg.sessions.session.cacheCapacityInstr = kCacheCapacityInstr;
-    cfg.sessions.session.cachePolicy =
-        FragmentCache::EvictionPolicy::EvictLru;
+    cfg.sessions.session.cachePolicy = CachePolicy::EvictLru;
     return cfg;
 }
 

@@ -14,18 +14,22 @@
  *    subtract).
  *
  * Beside them sit the serving layers' rows: stream synthesis, wire
- * encode (one frame, and a whole stream) and wire decode.
+ * encode (one frame, and a whole stream), wire decode and
+ * Session::consume.
  *
  * Counter space is reported as a benchmark counter next to the time.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common.hh"
 
+#include "engine/session.hh"
 #include "engine/wire_format.hh"
 #include "metrics/oracle.hh"
 #include "metrics/parallel_sweep.hh"
@@ -279,6 +283,44 @@ BM_WireDecode(benchmark::State &state)
     state.SetItemsProcessed(static_cast<std::int64_t>(events));
 }
 BENCHMARK(BM_WireDecode);
+
+/** Session::consume on 32 serving-default sessions fed the shared
+ *  stream interleaved 512 events at a time, as a shard worker meets
+ *  its sessions' frames: one 512-event chunk per iteration. Each
+ *  session has seen the whole stream once before timing starts, so
+ *  the row measures the serving steady state, where nearly every
+ *  event is a fragment-cache hit. */
+static void
+BM_SessionConsume(benchmark::State &state)
+{
+    constexpr std::size_t kSessions = 32;
+    constexpr std::size_t kChunk = 512;
+    const auto &stream = sharedStream();
+    std::vector<std::unique_ptr<engine::Session>> sessions;
+    for (std::size_t s = 0; s < kSessions; ++s) {
+        sessions.push_back(
+            std::make_unique<engine::Session>(s, engine::SessionConfig{}));
+        for (const PathEvent &event : stream)
+            sessions.back()->consume(event);
+    }
+    std::size_t offset = 0;
+    std::size_t next = 0;
+    std::size_t events = 0;
+    for (auto _ : state) {
+        engine::Session &session = *sessions[next];
+        const std::size_t end = std::min(offset + kChunk, stream.size());
+        for (std::size_t i = offset; i < end; ++i)
+            benchmark::DoNotOptimize(session.consume(stream[i]));
+        events += end - offset;
+        if (++next == kSessions) {
+            next = 0;
+            offset = end == stream.size() ? 0 : end;
+        }
+    }
+    state.counters["events"] = static_cast<double>(stream.size());
+    state.SetItemsProcessed(static_cast<std::int64_t>(events));
+}
+BENCHMARK(BM_SessionConsume);
 
 // CFG-level profiler costs (per executed block) ----------------------
 

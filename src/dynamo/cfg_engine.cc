@@ -130,11 +130,12 @@ CfgDynamoEngine::enter(BlockId head)
     if (builder->collecting())
         return nullptr;
 
-    CodeFragment *fragment = cache.find(head);
-    if (fragment == nullptr)
+    if (cache.find(head) == nullptr)
         return nullptr;
-    activeRatio = fragment->ratio;
-    return &fragment->stitched;
+    const FragmentLinks *links = cache.linksOf(head);
+    HOTPATH_ASSERT(links != nullptr, "resident fragment not stitched");
+    activeRatio = links->ratio;
+    return &links->stitched;
 }
 
 void

@@ -38,7 +38,9 @@ evictReasonName(EvictReason reason)
     return "?";
 }
 
-CodeCache::CodeCache(CodeCacheConfig config) : cfg(config)
+CodeCache::CodeCache(CodeCacheConfig config)
+    : cfg(config), stampOnUse(config.policy == CachePolicy::FlushAll ||
+                              config.policy == CachePolicy::EvictLru)
 {
     HOTPATH_ASSERT(cfg.bytesPerInstr > 0, "degenerate code geometry");
     HOTPATH_ASSERT(cfg.generationInserts > 0,
@@ -63,35 +65,57 @@ CodeCache::CodeCache(CodeCacheConfig config) : cfg(config)
         telemetry::gauge("dynamo.cache.resident.fragments");
     tmFragmentBytes =
         telemetry::histogram("dynamo.cache.fragment.bytes");
-    publishGauges();
+}
+
+CodeCache::~CodeCache()
+{
+    if (tmResidentBytes)
+        tmResidentBytes->add(-publishedBytes);
+    if (tmResidentFragments)
+        tmResidentFragments->add(-publishedFragments);
 }
 
 void
 CodeCache::publishGauges()
 {
+    const auto bytes = static_cast<std::int64_t>(occupancy);
+    const auto count = static_cast<std::int64_t>(fragments.size());
     if (tmResidentBytes)
-        tmResidentBytes->set(static_cast<std::int64_t>(occupancy));
+        tmResidentBytes->add(bytes - publishedBytes);
     if (tmResidentFragments)
-        tmResidentFragments->set(
-            static_cast<std::int64_t>(fragments.size()));
+        tmResidentFragments->add(count - publishedFragments);
+    publishedBytes = bytes;
+    publishedFragments = count;
+}
+
+std::uint64_t
+CodeCache::bytesOf(const CodeFragment &fragment) const
+{
+    std::uint64_t bytes =
+        static_cast<std::uint64_t>(fragment.instructions) *
+        cfg.bytesPerInstr;
+    const auto it = links.find(fragment.key);
+    if (it != links.end())
+        bytes += it->second.stubs.size() * cfg.stubBytes;
+    return bytes;
 }
 
 void
-CodeCache::patchStub(CodeFragment &from, std::size_t stub_index,
-                     CodeFragment &to)
+CodeCache::patchStub(std::uint32_t from, FragmentLinks &from_links,
+                     std::size_t stub_index, std::uint32_t to)
 {
-    ExitStub &stub = from.stubs[stub_index];
+    ExitStub &stub = from_links.stubs[stub_index];
     HOTPATH_ASSERT(!stub.linked, "stub already patched");
-    HOTPATH_ASSERT(stub.target == to.key, "stub/target mismatch");
+    HOTPATH_ASSERT(stub.target == to, "stub/target mismatch");
     stub.linked = true;
-    to.inbound.push_back(from.key);
+    links[to].inbound.push_back(from);
     ++linkMade;
     if (tmLinksMade)
         tmLinksMade->add(1);
 }
 
 void
-CodeCache::evictVictims(std::uint64_t incoming_bytes, bool fifo,
+CodeCache::evictVictims(std::uint64_t incoming_bytes,
                         InsertStats &stats)
 {
     while (!fragments.empty() &&
@@ -99,12 +123,7 @@ CodeCache::evictVictims(std::uint64_t incoming_bytes, bool fifo,
         auto victim = fragments.begin();
         for (auto it = fragments.begin(); it != fragments.end();
              ++it) {
-            const std::uint64_t it_age =
-                fifo ? it->second.sequence : it->second.lastUse;
-            const std::uint64_t victim_age = fifo
-                ? victim->second.sequence
-                : victim->second.lastUse;
-            if (it_age < victim_age)
+            if (it->second.stamp < victim->second.stamp)
                 victim = it;
         }
         evict(victim->first, EvictReason::Capacity);
@@ -115,12 +134,17 @@ CodeCache::evictVictims(std::uint64_t incoming_bytes, bool fifo,
 void
 CodeCache::evictOldestGeneration(InsertStats &stats)
 {
+    // Stamps are formation order here, so a fragment's generation is
+    // the block of generationInserts inserts its stamp falls in.
+    const auto generationOf = [this](const CodeFragment &fragment) {
+        return (fragment.stamp - 1) / cfg.generationInserts;
+    };
     std::uint64_t oldest = ~std::uint64_t{0};
     for (const auto &entry : fragments)
-        oldest = std::min(oldest, entry.second.generation);
+        oldest = std::min(oldest, generationOf(entry.second));
     std::vector<std::uint32_t> victims;
     for (const auto &entry : fragments) {
-        if (entry.second.generation == oldest)
+        if (generationOf(entry.second) == oldest)
             victims.push_back(entry.first);
     }
     // Deterministic eviction order regardless of hash layout.
@@ -144,10 +168,8 @@ CodeCache::applyCapacityPolicy(std::uint64_t incoming_bytes,
         stats.flushed = true;
         break;
       case CachePolicy::EvictLru:
-        evictVictims(incoming_bytes, /*fifo=*/false, stats);
-        break;
       case CachePolicy::EvictFifo:
-        evictVictims(incoming_bytes, /*fifo=*/true, stats);
+        evictVictims(incoming_bytes, stats);
         break;
       case CachePolicy::Generational:
         while (!fragments.empty() &&
@@ -168,23 +190,12 @@ CodeCache::insert(std::uint32_t key, std::uint32_t instructions,
         static_cast<std::uint64_t>(instructions) * cfg.bytesPerInstr;
     applyCapacityPolicy(code_bytes, stats);
 
-    if (insertsThisGeneration >= cfg.generationInserts) {
-        ++generation;
-        insertsThisGeneration = 0;
+    fragments.emplace(key, CodeFragment{key, instructions, ++clock, 0});
+    if (ratio != 1.0 || !stitched.blocks.empty()) {
+        FragmentLinks &entry = links[key];
+        entry.ratio = ratio;
+        entry.stitched = std::move(stitched);
     }
-    ++insertsThisGeneration;
-
-    CodeFragment fragment;
-    fragment.key = key;
-    fragment.instructions = instructions;
-    fragment.sizeBytes = code_bytes;
-    fragment.lastUse = ++clock;
-    fragment.sequence = ++sequence;
-    fragment.generation = generation;
-    fragment.ratio = ratio;
-    fragment.stitched = std::move(stitched);
-    auto [it, inserted] = fragments.emplace(key, std::move(fragment));
-    HOTPATH_ASSERT(inserted);
     occupancy += code_bytes;
     ++formed;
     if (tmInserts)
@@ -197,14 +208,14 @@ CodeCache::insert(std::uint32_t key, std::uint32_t instructions,
     const auto pending = pendingStubs.find(key);
     if (pending != pendingStubs.end()) {
         for (const std::uint32_t owner : pending->second) {
-            auto from = fragments.find(owner);
-            HOTPATH_ASSERT(from != fragments.end(),
+            auto from = links.find(owner);
+            HOTPATH_ASSERT(from != links.end(),
                            "pending stub with evicted owner");
             for (std::size_t s = 0; s < from->second.stubs.size();
                  ++s) {
                 ExitStub &stub = from->second.stubs[s];
                 if (stub.target == key && !stub.linked) {
-                    patchStub(from->second, s, it->second);
+                    patchStub(owner, from->second, s, key);
                     ++stats.linksMade;
                     break;
                 }
@@ -223,6 +234,20 @@ CodeCache::insert(std::uint32_t key, std::uint32_t instructions,
     return stats;
 }
 
+void
+CodeCache::restore(std::uint32_t key, std::uint32_t instructions,
+                   std::uint64_t executions, std::uint64_t stamp)
+{
+    const bool inserted =
+        fragments.emplace(key, CodeFragment{key, instructions, stamp,
+                                            executions})
+            .second;
+    HOTPATH_ASSERT(inserted, "fragment already cached for this key");
+    occupancy += static_cast<std::uint64_t>(instructions) *
+                 cfg.bytesPerInstr;
+    publishGauges();
+}
+
 CodeFragment *
 CodeCache::find(std::uint32_t key)
 {
@@ -234,7 +259,8 @@ CodeCache::find(std::uint32_t key)
     }
     if (tmHits)
         tmHits->add(1);
-    it->second.lastUse = ++clock;
+    if (stampOnUse)
+        it->second.stamp = ++clock;
     ++it->second.executions;
     return &it->second;
 }
@@ -246,6 +272,13 @@ CodeCache::peek(std::uint32_t key) const
     return it == fragments.end() ? nullptr : &it->second;
 }
 
+const FragmentLinks *
+CodeCache::linksOf(std::uint32_t key) const
+{
+    const auto it = links.find(key);
+    return it == links.end() ? nullptr : &it->second;
+}
+
 bool
 CodeCache::contains(std::uint32_t key) const
 {
@@ -255,10 +288,8 @@ CodeCache::contains(std::uint32_t key) const
 ExitKind
 CodeCache::recordExit(std::uint32_t from, std::uint32_t to)
 {
-    const auto from_it = fragments.find(from);
-    HOTPATH_ASSERT(from_it != fragments.end(),
-                   "exit from a non-resident fragment");
-    CodeFragment &source = from_it->second;
+    HOTPATH_ASSERT(contains(from), "exit from a non-resident fragment");
+    FragmentLinks &source = links[from];
 
     for (const ExitStub &stub : source.stubs) {
         if (stub.target != to)
@@ -271,7 +302,7 @@ CodeCache::recordExit(std::uint32_t from, std::uint32_t to)
         // An unlinked stub implies the target is absent: insert()
         // patches waiting stubs the moment a target becomes
         // resident.
-        HOTPATH_ASSERT(fragments.find(to) == fragments.end(),
+        HOTPATH_ASSERT(!contains(to),
                        "unlinked stub with a resident target");
         if (tmDispatchUnlinked)
             tmDispatchUnlinked->add(1);
@@ -280,21 +311,17 @@ CodeCache::recordExit(std::uint32_t from, std::uint32_t to)
 
     // First exit to this target: materialize the stub trampoline.
     source.stubs.push_back(ExitStub{to, false});
-    source.sizeBytes += cfg.stubBytes;
     occupancy += cfg.stubBytes;
     publishGauges();
-    const auto to_it = fragments.find(to);
-    if (to_it != fragments.end()) {
+    if (tmDispatchUnlinked)
+        tmDispatchUnlinked->add(1);
+    if (contains(to)) {
         // Target already resident: this runtime round trip patches
         // the fresh stub; subsequent exits branch directly.
-        patchStub(source, source.stubs.size() - 1, to_it->second);
-        if (tmDispatchUnlinked)
-            tmDispatchUnlinked->add(1);
+        patchStub(from, source, source.stubs.size() - 1, to);
         return ExitKind::PatchedNow;
     }
     pendingStubs[to].push_back(from);
-    if (tmDispatchUnlinked)
-        tmDispatchUnlinked->add(1);
     return ExitKind::Unlinked;
 }
 
@@ -304,70 +331,78 @@ CodeCache::evict(std::uint32_t key, EvictReason reason)
     const auto it = fragments.find(key);
     if (it == fragments.end())
         return false;
-    CodeFragment &victim = it->second;
+    const CodeFragment &victim = it->second;
+    const std::uint64_t victim_bytes = bytesOf(victim);
 
-    // Outbound repair: detach this fragment's own exits.
-    for (const ExitStub &stub : victim.stubs) {
-        if (stub.linked) {
+    const auto victim_links = links.find(key);
+    if (victim_links != links.end()) {
+        // Outbound repair: detach this fragment's own exits.
+        for (const ExitStub &stub : victim_links->second.stubs) {
+            if (stub.linked) {
+                ++linkBroken;
+                if (tmLinksBroken)
+                    tmLinksBroken->add(1);
+                if (stub.target == key)
+                    continue; // self link dies with the fragment
+                auto target = links.find(stub.target);
+                HOTPATH_ASSERT(target != links.end(),
+                               "linked stub with absent target");
+                auto &inbound = target->second.inbound;
+                const auto pos =
+                    std::find(inbound.begin(), inbound.end(), key);
+                HOTPATH_ASSERT(pos != inbound.end(),
+                               "linked stub missing from target "
+                               "inbound");
+                inbound.erase(pos);
+            } else {
+                auto pending = pendingStubs.find(stub.target);
+                HOTPATH_ASSERT(pending != pendingStubs.end(),
+                               "unlinked stub not pending");
+                auto &owners = pending->second;
+                const auto pos =
+                    std::find(owners.begin(), owners.end(), key);
+                HOTPATH_ASSERT(pos != owners.end(),
+                               "unlinked stub not pending for owner");
+                owners.erase(pos);
+                if (owners.empty())
+                    pendingStubs.erase(pending);
+            }
+        }
+
+        // Inbound repair: every neighbour's linked stub reverts to
+        // stub state and re-queues for a future fragment at this
+        // head.
+        for (const std::uint32_t owner : victim_links->second.inbound) {
+            if (owner == key)
+                continue; // self link, handled above
+            auto from = links.find(owner);
+            HOTPATH_ASSERT(from != links.end(),
+                           "inbound link from absent fragment");
+            bool reverted = false;
+            for (ExitStub &stub : from->second.stubs) {
+                if (stub.target == key && stub.linked) {
+                    stub.linked = false;
+                    reverted = true;
+                    break;
+                }
+            }
+            HOTPATH_ASSERT(reverted,
+                           "inbound entry without linked stub");
             ++linkBroken;
             if (tmLinksBroken)
                 tmLinksBroken->add(1);
-            if (stub.target == key)
-                continue; // self link dies with the fragment
-            auto target = fragments.find(stub.target);
-            HOTPATH_ASSERT(target != fragments.end(),
-                           "linked stub with absent target");
-            auto &inbound = target->second.inbound;
-            const auto pos =
-                std::find(inbound.begin(), inbound.end(), key);
-            HOTPATH_ASSERT(pos != inbound.end(),
-                           "linked stub missing from target inbound");
-            inbound.erase(pos);
-        } else {
-            auto pending = pendingStubs.find(stub.target);
-            HOTPATH_ASSERT(pending != pendingStubs.end(),
-                           "unlinked stub not pending");
-            auto &owners = pending->second;
-            const auto pos =
-                std::find(owners.begin(), owners.end(), key);
-            HOTPATH_ASSERT(pos != owners.end(),
-                           "unlinked stub not pending for owner");
-            owners.erase(pos);
-            if (owners.empty())
-                pendingStubs.erase(pending);
+            pendingStubs[key].push_back(owner);
         }
-    }
-
-    // Inbound repair: every neighbour's linked stub reverts to stub
-    // state and re-queues for a future fragment at this head.
-    for (const std::uint32_t owner : victim.inbound) {
-        if (owner == key)
-            continue; // self link, handled above
-        auto from = fragments.find(owner);
-        HOTPATH_ASSERT(from != fragments.end(),
-                       "inbound link from absent fragment");
-        bool reverted = false;
-        for (ExitStub &stub : from->second.stubs) {
-            if (stub.target == key && stub.linked) {
-                stub.linked = false;
-                reverted = true;
-                break;
-            }
-        }
-        HOTPATH_ASSERT(reverted, "inbound entry without linked stub");
-        ++linkBroken;
-        if (tmLinksBroken)
-            tmLinksBroken->add(1);
-        pendingStubs[key].push_back(owner);
+        links.erase(victim_links);
     }
 
     telemetry::emit(telemetry::TraceEventKind::FragmentEvict,
                     "dynamo.cache",
                     {{"key", key},
-                     {"bytes", victim.sizeBytes},
+                     {"bytes", victim_bytes},
                      {"executions", victim.executions}},
                     evictReasonName(reason));
-    occupancy -= victim.sizeBytes;
+    occupancy -= victim_bytes;
     fragments.erase(it);
     ++evicted[static_cast<std::size_t>(reason)];
     if (tmEvictions[static_cast<std::size_t>(reason)])
@@ -384,7 +419,7 @@ CodeCache::flushAll()
                     {{"fragments", fragments.size()},
                      {"occupancy", occupancy}});
     std::uint64_t live_links = 0;
-    for (const auto &entry : fragments) {
+    for (const auto &entry : links) {
         for (const ExitStub &stub : entry.second.stubs)
             live_links += stub.linked ? 1 : 0;
     }
@@ -398,6 +433,7 @@ CodeCache::flushAll()
         tmEvictions[static_cast<std::size_t>(EvictReason::Flush)]
             ->add(dropped);
     fragments.clear();
+    links.clear();
     pendingStubs.clear();
     occupancy = 0;
     ++flushCount;
@@ -423,23 +459,30 @@ CodeCache::verifyLinkInvariants(std::string *error) const
     };
 
     std::uint64_t tallied_bytes = 0;
-    for (const auto &[key, fragment] : fragments) {
-        tallied_bytes += fragment.sizeBytes;
-        for (const ExitStub &stub : fragment.stubs) {
-            const auto target = fragments.find(stub.target);
+    for (const auto &entry : fragments)
+        tallied_bytes += bytesOf(entry.second);
+    if (tallied_bytes != occupancy)
+        return fail("occupancy " + std::to_string(occupancy) +
+                    " != tallied " + std::to_string(tallied_bytes));
+
+    for (const auto &[key, entry] : links) {
+        if (!contains(key))
+            return fail("link entry for non-resident " +
+                        std::to_string(key));
+        for (const ExitStub &stub : entry.stubs) {
             if (stub.linked) {
-                if (target == fragments.end())
+                const FragmentLinks *target = linksOf(stub.target);
+                if (!contains(stub.target) || target == nullptr)
                     return fail("linked stub " + std::to_string(key) +
                                 "->" + std::to_string(stub.target) +
                                 " has non-resident target");
-                const auto &inbound = target->second.inbound;
-                if (std::count(inbound.begin(), inbound.end(), key) !=
-                    1)
+                if (std::count(target->inbound.begin(),
+                               target->inbound.end(), key) != 1)
                     return fail("linked stub " + std::to_string(key) +
                                 "->" + std::to_string(stub.target) +
                                 " not mirrored inbound exactly once");
             } else {
-                if (target != fragments.end())
+                if (contains(stub.target))
                     return fail("unlinked stub " +
                                 std::to_string(key) + "->" +
                                 std::to_string(stub.target) +
@@ -454,13 +497,13 @@ CodeCache::verifyLinkInvariants(std::string *error) const
                                 " not pending exactly once");
             }
         }
-        for (const std::uint32_t owner : fragment.inbound) {
-            const auto from = fragments.find(owner);
-            if (from == fragments.end())
+        for (const std::uint32_t owner : entry.inbound) {
+            const FragmentLinks *from = linksOf(owner);
+            if (!contains(owner) || from == nullptr)
                 return fail("inbound link from non-resident " +
                             std::to_string(owner));
             std::size_t linked_stubs = 0;
-            for (const ExitStub &stub : from->second.stubs) {
+            for (const ExitStub &stub : from->stubs) {
                 if (stub.target == key && stub.linked)
                     ++linked_stubs;
             }
@@ -470,20 +513,17 @@ CodeCache::verifyLinkInvariants(std::string *error) const
                             " without exactly one linked stub");
         }
     }
-    if (tallied_bytes != occupancy)
-        return fail("occupancy " + std::to_string(occupancy) +
-                    " != tallied " + std::to_string(tallied_bytes));
     for (const auto &[target, owners] : pendingStubs) {
-        if (fragments.find(target) != fragments.end())
+        if (contains(target))
             return fail("pending stubs for resident target " +
                         std::to_string(target));
         for (const std::uint32_t owner : owners) {
-            const auto from = fragments.find(owner);
-            if (from == fragments.end())
+            const FragmentLinks *from = linksOf(owner);
+            if (!contains(owner) || from == nullptr)
                 return fail("pending stub owned by non-resident " +
                             std::to_string(owner));
             bool found = false;
-            for (const ExitStub &stub : from->second.stubs)
+            for (const ExitStub &stub : from->stubs)
                 found |= stub.target == target && !stub.linked;
             if (!found)
                 return fail("pending entry " + std::to_string(owner) +

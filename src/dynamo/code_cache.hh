@@ -2,12 +2,19 @@
  * @file
  * The managed code cache: a size-bounded arena of linked fragments.
  *
- * Where dynamo/fragment_cache.hh models cache *capacity* (and stays
- * the wire-stable per-session cache of the serving tier), this class
- * is the executing cache of the Dynamo loop: it owns the stitched
- * fragments the Machine dispatches through (sim/dispatch.hh), the
- * exit-stub link graph between them, and the capacity-management
- * policies the paper's Section 6 discussion motivates measuring.
+ * The library's one fragment cache. It is the executing cache of the
+ * Dynamo loop - it owns the stitched fragments the Machine dispatches
+ * through (sim/dispatch.hh), the exit-stub link graph between them,
+ * and the capacity-management policies the paper's Section 6
+ * discussion motivates measuring - and it is each serving session's
+ * cache (engine/session.hh), which uses only the FlushAll and
+ * EvictLru policies and never links.
+ *
+ * Storage: a resident fragment is a 24-byte CodeFragment record. Its
+ * link bookkeeping (stitched sequence, optimization ratio, exit
+ * stubs, inbound links) lives in a side table keyed by head
+ * (FragmentLinks), filled only by stitched inserts, exits and stub
+ * patching, so a cache that never links pays nothing for it.
  *
  * Linking model (Dynamo's): every fragment exit is initially a stub -
  * a short trampoline that returns control to the runtime. When the
@@ -41,6 +48,11 @@
  *                  and the oldest resident generation is dropped
  *                  wholesale - the middle ground between piecemeal
  *                  eviction and total flushes.
+ *
+ * Telemetry: every cache counts into the process-wide dynamo.cache.*
+ * instruments, and the resident gauges are the sum over the live
+ * caches - each adds its own deltas and withdraws its share when it
+ * is destroyed.
  */
 
 #ifndef HOTPATH_DYNAMO_CODE_CACHE_HH
@@ -128,7 +140,11 @@ struct ExitStub
     bool linked = false;
 };
 
-/** One resident fragment plus its link bookkeeping. */
+/**
+ * One resident fragment. The record is all a cache that never links
+ * (a serving session's) stores per fragment; link bookkeeping lives
+ * in FragmentLinks.
+ */
 struct CodeFragment
 {
     /** Head key (BlockId at CFG granularity, PathIndex at path
@@ -138,21 +154,24 @@ struct CodeFragment
     /** Trace instructions the fragment was formed from. */
     std::uint32_t instructions = 0;
 
-    /** Arena bytes occupied (code plus live stub trampolines). */
-    std::uint64_t sizeBytes = 0;
+    /** Cache-clock stamp: the last use under FlushAll and EvictLru,
+     *  the formation order under EvictFifo and Generational. */
+    std::uint64_t stamp = 0;
 
-    /** Executions entered at this fragment's head. */
+    /** Executions entered at this fragment's head (find() hits). */
     std::uint64_t executions = 0;
+};
 
-    /** Last-use stamp from the cache's monotonic clock. */
-    std::uint64_t lastUse = 0;
+static_assert(sizeof(CodeFragment) <= 24,
+              "a resident fragment must stay a 24-byte record");
 
-    /** Formation order (FIFO eviction key). */
-    std::uint64_t sequence = 0;
-
-    /** Insertion generation (Generational eviction key). */
-    std::uint64_t generation = 0;
-
+/**
+ * A resident fragment's link bookkeeping, kept beside the fragment
+ * (keyed by its head) only once a stitched insert, an exit or a stub
+ * patch needs it.
+ */
+struct FragmentLinks
+{
     /** Optimized instructions per original instruction (<= 1 once
      *  the trace optimizer ran; 1.0 for layout-only fragments). */
     double ratio = 1.0;
@@ -203,25 +222,39 @@ class CodeCache
     /** Build an empty cache with the given geometry. */
     explicit CodeCache(CodeCacheConfig config = {});
 
+    /** Withdraw this cache's share of the resident gauges. */
+    ~CodeCache();
+
+    CodeCache(const CodeCache &) = delete;
+    CodeCache &operator=(const CodeCache &) = delete;
+
     /**
      * Insert a fragment for `key` (asserts no fragment is resident
      * for it). Applies the capacity policy first, then links every
-     * resident stub targeting `key`. The stitched sequence may be
-     * empty for path-granularity use.
+     * resident stub targeting `key`. A stitched sequence or a ratio
+     * other than 1.0 is kept in the fragment's FragmentLinks; path-
+     * granularity callers pass neither.
      */
     InsertStats insert(std::uint32_t key, std::uint32_t instructions,
                        double ratio = 1.0,
                        StitchedFragment stitched = {});
 
     /**
-     * Fragment lookup for execution: refreshes the LRU stamp, bumps
-     * the execution count and the hit/miss telemetry. nullptr when
-     * not resident.
+     * Fragment lookup for execution: bumps the execution count and
+     * the hit/miss telemetry, and under FlushAll and EvictLru
+     * refreshes the stamp. nullptr when not resident.
      */
     CodeFragment *find(std::uint32_t key);
 
     /** Bookkeeping-silent lookup (no touch, no telemetry). */
     const CodeFragment *peek(std::uint32_t key) const;
+
+    /**
+     * The link bookkeeping of resident fragment `key`; nullptr when
+     * it has none (no stitched insert, no exit, no inbound link) or
+     * is not resident.
+     */
+    const FragmentLinks *linksOf(std::uint32_t key) const;
 
     /** True when a fragment for `key` is resident. */
     bool contains(std::uint32_t key) const;
@@ -241,6 +274,24 @@ class CodeCache
 
     /** Drop every fragment (phase-change or capacity flush). */
     void flushAll();
+
+    /**
+     * Reinstall a fragment exactly as exported (migration import):
+     * the execution count and stamp are kept, so eviction order after
+     * an import matches the exporting cache. Bookkeeping-silent
+     * unlike insert(): no capacity policy, no counters or trace, and
+     * not counted as formed; only the resident gauges follow the
+     * occupancy. Asserts no fragment is resident for `key`.
+     */
+    void restore(std::uint32_t key, std::uint32_t instructions,
+                 std::uint64_t executions, std::uint64_t stamp);
+
+    /** The cache clock: the last stamp handed out. */
+    std::uint64_t clockValue() const { return clock; }
+
+    /** Reset the cache clock to an exported value (migration
+     *  import), so stamps handed out next continue the exporter's. */
+    void setClockValue(std::uint64_t value) { clock = value; }
 
     /** Resident fragment count. */
     std::size_t size() const { return fragments.size(); }
@@ -279,9 +330,6 @@ class CodeCache
     /** Currently linked stubs across all resident fragments. */
     std::uint64_t liveLinks() const { return linkMade - linkBroken; }
 
-    /** Generation now receiving inserts (Generational policy). */
-    std::uint64_t currentGeneration() const { return generation; }
-
     /** Visit every resident fragment (unspecified order). */
     template <typename Fn>
     void
@@ -295,24 +343,34 @@ class CodeCache
      * Whole-graph link audit for tests: every linked stub's target
      * is resident and lists the owner as inbound; every inbound
      * entry has a matching linked stub; no stub targets its owner's
-     * pending list twice. Returns true when consistent; on failure
-     * fills `error` (when non-null) with the first violation.
+     * pending list twice; every link entry belongs to a resident
+     * fragment. Returns true when consistent; on failure fills
+     * `error` (when non-null) with the first violation.
      */
     bool verifyLinkInvariants(std::string *error = nullptr) const;
 
   private:
     void applyCapacityPolicy(std::uint64_t incoming_bytes,
                              InsertStats &stats);
-    void evictVictims(std::uint64_t incoming_bytes, bool fifo,
+    void evictVictims(std::uint64_t incoming_bytes,
                       InsertStats &stats);
     void evictOldestGeneration(InsertStats &stats);
+    /** Arena bytes of a resident fragment: code plus its stubs. */
+    std::uint64_t bytesOf(const CodeFragment &fragment) const;
     /** Link the stub at `stub_index` of `from` to resident `to`. */
-    void patchStub(CodeFragment &from, std::size_t stub_index,
-                   CodeFragment &to);
+    void patchStub(std::uint32_t from, FragmentLinks &from_links,
+                   std::size_t stub_index, std::uint32_t to);
+    /** Add the occupancy change since the last call to the resident
+     *  gauges. */
     void publishGauges();
 
     CodeCacheConfig cfg;
+    /** True when find() refreshes the stamp (FlushAll, EvictLru). */
+    bool stampOnUse;
     std::unordered_map<std::uint32_t, CodeFragment> fragments;
+    /** head -> link bookkeeping, for resident fragments that have
+     *  any. */
+    std::unordered_map<std::uint32_t, FragmentLinks> links;
     /** target key -> owners of unlinked stubs awaiting that target. */
     std::unordered_map<std::uint32_t, std::vector<std::uint32_t>>
         pendingStubs;
@@ -324,9 +382,9 @@ class CodeCache
     std::uint64_t linkMade = 0;
     std::uint64_t linkBroken = 0;
     std::uint64_t clock = 0;
-    std::uint64_t sequence = 0;
-    std::uint64_t generation = 0;
-    std::uint32_t insertsThisGeneration = 0;
+    /** What this cache has added to the resident gauges. */
+    std::int64_t publishedBytes = 0;
+    std::int64_t publishedFragments = 0;
 
     // Telemetry handles; nullptr when telemetry is not attached.
     telemetry::Counter *tmHits = nullptr;

@@ -7,11 +7,30 @@
 namespace hotpath::engine
 {
 
+namespace
+{
+
+/** The session's cache: the configured instruction cap in the
+ *  default code geometry, never linked. */
+CodeCacheConfig
+sessionCacheConfig(const SessionConfig &config)
+{
+    HOTPATH_ASSERT(config.cachePolicy == CachePolicy::FlushAll ||
+                       config.cachePolicy == CachePolicy::EvictLru,
+                   "a session cache is FlushAll or EvictLru");
+    CodeCacheConfig cache;
+    cache.capacityBytes = config.cacheCapacityInstr * cache.bytesPerInstr;
+    cache.policy = config.cachePolicy;
+    return cache;
+}
+
+} // namespace
+
 Session::Session(std::uint64_t id, const SessionConfig &config)
     : sessionId(id), cfg(config),
       predictor(config.predictionDelay, config.reArm,
                 config.decayShift),
-      fragments(config.cacheCapacityInstr, config.cachePolicy)
+      fragments(sessionCacheConfig(config))
 {
 }
 
@@ -93,11 +112,10 @@ Session::exportState(wire::SessionState &out) const
         out.retired.push_back(head);
     std::sort(out.retired.begin(), out.retired.end());
 
-    fragments.forEach([&out](const Fragment &fragment) {
-        out.fragments.push_back({fragment.path,
-                                 fragment.instructions,
+    fragments.forEach([&out](const CodeFragment &fragment) {
+        out.fragments.push_back({fragment.key, fragment.instructions,
                                  fragment.executions,
-                                 fragment.lastUse});
+                                 fragment.stamp});
     });
     std::sort(out.fragments.begin(), out.fragments.end(),
               [](const wire::SessionFragmentEntry &a,

@@ -20,7 +20,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "dynamo/fragment_cache.hh"
+#include "dynamo/code_cache.hh"
 #include "engine/wire_format.hh"
 #include "predict/net_predictor.hh"
 
@@ -50,9 +50,9 @@ struct SessionConfig
      *  cap). */
     std::uint64_t cacheCapacityInstr = 0;
 
-    /** Cache policy when the capacity cap is hit. */
-    FragmentCache::EvictionPolicy cachePolicy =
-        FragmentCache::EvictionPolicy::EvictLru;
+    /** Cache policy when the capacity cap is hit: FlushAll or
+     *  EvictLru (the two a session accepts). */
+    CachePolicy cachePolicy = CachePolicy::EvictLru;
 
     /**
      * Keep the ordered log of predicted paths. The determinism tests
@@ -159,9 +159,6 @@ class Session
      */
     void retune(std::uint64_t prediction_delay);
 
-    /** The session's fragment cache (read-only). */
-    const FragmentCache &cache() const { return fragments; }
-
     // Error budget & re-admission backoff --------------------------
 
     /**
@@ -224,7 +221,7 @@ class Session
     std::uint64_t sessionId;
     SessionConfig cfg;
     NetPredictor predictor;
-    FragmentCache fragments;
+    CodeCache fragments;
     SessionStats st;
     std::vector<PathIndex> predictionLog;
     bool sawFrame = false;

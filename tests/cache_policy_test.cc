@@ -1,12 +1,13 @@
 /**
  * @file
- * Tests for the fragment cache eviction policies (FlushAll vs LRU)
- * and their system-level accounting.
+ * Tests for the code cache's FlushAll and LRU policies, sized in
+ * instructions the way a serving session sizes its cache, and their
+ * system-level accounting.
  */
 
 #include <gtest/gtest.h>
 
-#include "dynamo/fragment_cache.hh"
+#include "dynamo/code_cache.hh"
 #include "dynamo/system.hh"
 
 using namespace hotpath;
@@ -26,42 +27,58 @@ event(PathIndex path, std::uint32_t instructions = 40)
     return e;
 }
 
+/** Code bytes per instruction in the default geometry. */
+constexpr std::uint64_t kBytesPerInstr = CodeCacheConfig{}.bytesPerInstr;
+
+/** A cache capped at `capacity_instr` instructions (0 = no cap) in
+ *  the default geometry, as engine::Session builds its own. */
+CodeCache
+cacheOfInstructions(std::uint64_t capacity_instr, CachePolicy policy)
+{
+    CodeCacheConfig config;
+    config.capacityBytes = capacity_instr * kBytesPerInstr;
+    config.policy = policy;
+    return CodeCache(config);
+}
+
 } // namespace
 
 TEST(CachePolicyTest, LruEvictsOldestUntilFit)
 {
-    FragmentCache cache(250, FragmentCache::EvictionPolicy::EvictLru);
-    EXPECT_FALSE(cache.insert(1, 100));
-    EXPECT_FALSE(cache.insert(2, 100));
+    CodeCache cache = cacheOfInstructions(250, CachePolicy::EvictLru);
+    EXPECT_FALSE(cache.insert(1, 100).flushed);
+    EXPECT_FALSE(cache.insert(2, 100).flushed);
     // Touch 1 so 2 becomes the LRU victim.
     EXPECT_NE(cache.find(1), nullptr);
-    EXPECT_FALSE(cache.insert(3, 100)); // evicts 2, not 1
+    const InsertStats third = cache.insert(3, 100); // evicts 2, not 1
+    EXPECT_FALSE(third.flushed);
+    EXPECT_EQ(third.evicted, 1u);
     EXPECT_NE(cache.find(1), nullptr);
     EXPECT_EQ(cache.find(2), nullptr);
     EXPECT_NE(cache.find(3), nullptr);
     EXPECT_EQ(cache.evictions(), 1u);
     EXPECT_EQ(cache.flushes(), 0u);
     EXPECT_EQ(cache.size(), 2u);
-    EXPECT_EQ(cache.occupancyInstructions(), 200u);
+    EXPECT_EQ(cache.residentBytes(), 200u * kBytesPerInstr);
 }
 
 TEST(CachePolicyTest, LruEvictsMultipleForLargeFragment)
 {
-    FragmentCache cache(300, FragmentCache::EvictionPolicy::EvictLru);
+    CodeCache cache = cacheOfInstructions(300, CachePolicy::EvictLru);
     cache.insert(1, 100);
     cache.insert(2, 100);
     cache.insert(3, 100);
     cache.insert(4, 250); // must evict at least two victims
     EXPECT_GE(cache.evictions(), 2u);
-    EXPECT_LE(cache.occupancyInstructions(), 300u + 250u);
+    EXPECT_LE(cache.residentBytes(), (300u + 250u) * kBytesPerInstr);
     EXPECT_NE(cache.find(4), nullptr);
 }
 
 TEST(CachePolicyTest, FlushAllStillFlushesWholesale)
 {
-    FragmentCache cache(150, FragmentCache::EvictionPolicy::FlushAll);
+    CodeCache cache = cacheOfInstructions(150, CachePolicy::FlushAll);
     cache.insert(1, 100);
-    EXPECT_TRUE(cache.insert(2, 100));
+    EXPECT_TRUE(cache.insert(2, 100).flushed);
     EXPECT_EQ(cache.flushes(), 1u);
     EXPECT_EQ(cache.evictions(), 0u);
     EXPECT_EQ(cache.size(), 1u);
@@ -69,7 +86,7 @@ TEST(CachePolicyTest, FlushAllStillFlushesWholesale)
 
 TEST(CachePolicyTest, UnlimitedCacheNeverEvicts)
 {
-    FragmentCache cache(0, FragmentCache::EvictionPolicy::EvictLru);
+    CodeCache cache = cacheOfInstructions(0, CachePolicy::EvictLru);
     for (PathIndex p = 0; p < 1000; ++p)
         cache.insert(p, 100);
     EXPECT_EQ(cache.evictions(), 0u);
@@ -78,7 +95,7 @@ TEST(CachePolicyTest, UnlimitedCacheNeverEvicts)
 
 TEST(CachePolicyTest, FindRefreshesLruAge)
 {
-    FragmentCache cache(200, FragmentCache::EvictionPolicy::EvictLru);
+    CodeCache cache = cacheOfInstructions(200, CachePolicy::EvictLru);
     cache.insert(1, 100);
     cache.insert(2, 100);
     // Repeated use of 1 keeps it alive through many inserts.

@@ -366,66 +366,102 @@ TEST(SessionMigration, ExportWireImportContinuesBitIdentically)
     constexpr std::size_t kFrames = 24;
     const auto frames = makeFrames(kSession, 0, kFrames, 64);
 
+    // The session caches to migrate: uncapped, and capped below the
+    // 380 instructions of the eight loop paths under both policies a
+    // session serves, so fragments leave and return within 24 frames
+    // and eviction order after the import depends on the imported
+    // stamps and clock.
+    struct CacheCase
+    {
+        const char *name;
+        std::uint64_t capacityInstr;
+        CachePolicy policy;
+    };
+    const CacheCase cases[] = {
+        {"uncapped", 0, CachePolicy::EvictLru},
+        {"capped-lru", 150, CachePolicy::EvictLru},
+        {"capped-flush-all", 150, CachePolicy::FlushAll},
+    };
+
     // Property: for ANY split point, exporting after the prefix and
     // importing into a fresh engine continues the suffix with
     // byte-identical predictions and byte-identical end state.
-    for (const std::size_t split : {std::size_t{1}, std::size_t{8},
-                                    std::size_t{23}}) {
-        Engine original(recordingConfig(2));
-        for (std::size_t i = 0; i < split; ++i)
-            ASSERT_TRUE(original.submit(frames[i]));
-        original.drain();
+    for (const CacheCase &cache : cases) {
+        EngineConfig config = recordingConfig(2);
+        config.sessions.session.cacheCapacityInstr = cache.capacityInstr;
+        config.sessions.session.cachePolicy = cache.policy;
+        bool evictedAfterImport = false;
+        for (const std::size_t split : {std::size_t{1}, std::size_t{8},
+                                        std::size_t{23}}) {
+            Engine original(config);
+            for (std::size_t i = 0; i < split; ++i)
+                ASSERT_TRUE(original.submit(frames[i]));
+            original.drain();
 
-        wire::SessionState snapshot;
-        ASSERT_TRUE(original.exportSession(kSession, snapshot));
-        std::vector<std::uint8_t> wireBytes;
-        wire::appendSessionStateFrame(wireBytes, kSession, 0,
-                                      snapshot);
-        std::size_t offset = 0;
-        wire::DecodedFrame decoded;
-        ASSERT_EQ(wire::decodeFrame(wireBytes.data(),
-                                    wireBytes.size(), offset,
-                                    decoded),
-                  wire::DecodeStatus::Ok);
+            wire::SessionState snapshot;
+            ASSERT_TRUE(original.exportSession(kSession, snapshot));
+            std::vector<std::uint8_t> wireBytes;
+            wire::appendSessionStateFrame(wireBytes, kSession, 0,
+                                          snapshot);
+            std::size_t offset = 0;
+            wire::DecodedFrame decoded;
+            ASSERT_EQ(wire::decodeFrame(wireBytes.data(),
+                                        wireBytes.size(), offset,
+                                        decoded),
+                      wire::DecodeStatus::Ok);
 
-        Engine migrated(recordingConfig(2));
-        migrated.importSession(kSession, decoded.state);
+            Engine migrated(config);
+            migrated.importSession(kSession, decoded.state);
 
-        for (std::size_t i = split; i < kFrames; ++i) {
-            ASSERT_TRUE(original.submit(frames[i]));
-            ASSERT_TRUE(migrated.submit(frames[i]));
+            for (std::size_t i = split; i < kFrames; ++i) {
+                ASSERT_TRUE(original.submit(frames[i]));
+                ASSERT_TRUE(migrated.submit(frames[i]));
+            }
+            original.drain();
+            migrated.drain();
+
+            // The migrated engine's suffix predictions match the
+            // original's, prediction for prediction.
+            const auto originalPaths =
+                original.predictionsFor(kSession);
+            const auto migratedPaths =
+                migrated.predictionsFor(kSession);
+            ASSERT_LE(migratedPaths.size(), originalPaths.size())
+                << cache.name << " split " << split;
+            EXPECT_TRUE(std::equal(migratedPaths.begin(),
+                                   migratedPaths.end(),
+                                   originalPaths.end() -
+                                       static_cast<std::ptrdiff_t>(
+                                           migratedPaths.size())))
+                << cache.name << " split " << split
+                << ": suffix predictions diverged after migration";
+
+            // A suffix prediction of a path resident at the import
+            // means the cache evicted it after the import.
+            for (const auto &fragment : decoded.state.fragments)
+                evictedAfterImport |=
+                    std::find(migratedPaths.begin(),
+                              migratedPaths.end(),
+                              fragment.path) != migratedPaths.end();
+
+            // And the end states are byte-identical on the wire: same
+            // counters, same fragment cache (exact stamps and
+            // execution counts), same lifetime statistics.
+            wire::SessionState endOriginal, endMigrated;
+            ASSERT_TRUE(original.exportSession(kSession, endOriginal));
+            ASSERT_TRUE(migrated.exportSession(kSession, endMigrated));
+            std::vector<std::uint8_t> bytesOriginal, bytesMigrated;
+            wire::appendSessionStateFrame(bytesOriginal, kSession, 0,
+                                          endOriginal);
+            wire::appendSessionStateFrame(bytesMigrated, kSession, 0,
+                                          endMigrated);
+            EXPECT_EQ(bytesMigrated, bytesOriginal)
+                << cache.name << " split " << split
+                << ": end-state snapshots differ on the wire";
         }
-        original.drain();
-        migrated.drain();
-
-        // The migrated engine's suffix predictions match the
-        // original's, prediction for prediction.
-        const auto originalPaths = original.predictionsFor(kSession);
-        const auto migratedPaths = migrated.predictionsFor(kSession);
-        ASSERT_LE(migratedPaths.size(), originalPaths.size())
-            << "split " << split;
-        EXPECT_TRUE(std::equal(migratedPaths.begin(),
-                               migratedPaths.end(),
-                               originalPaths.end() -
-                                   static_cast<std::ptrdiff_t>(
-                                       migratedPaths.size())))
-            << "split " << split
-            << ": suffix predictions diverged after migration";
-
-        // And the end states are byte-identical on the wire: same
-        // counters, same fragment cache (exact LRU stamps), same
-        // lifetime statistics.
-        wire::SessionState endOriginal, endMigrated;
-        ASSERT_TRUE(original.exportSession(kSession, endOriginal));
-        ASSERT_TRUE(migrated.exportSession(kSession, endMigrated));
-        std::vector<std::uint8_t> bytesOriginal, bytesMigrated;
-        wire::appendSessionStateFrame(bytesOriginal, kSession, 0,
-                                      endOriginal);
-        wire::appendSessionStateFrame(bytesMigrated, kSession, 0,
-                                      endMigrated);
-        EXPECT_EQ(bytesMigrated, bytesOriginal)
-            << "split " << split
-            << ": end-state snapshots differ on the wire";
+        EXPECT_EQ(evictedAfterImport, cache.capacityInstr != 0)
+            << cache.name
+            << ": the cap must evict after an import, and only a cap";
     }
 }
 

@@ -17,6 +17,7 @@
 #include "dynamo/code_cache.hh"
 #include "progen/presets.hh"
 #include "sim/machine.hh"
+#include "telemetry/telemetry.hh"
 
 using namespace hotpath;
 
@@ -108,9 +109,9 @@ TEST(CodeCacheTest, LinkThenEvictUnlinksEveryInboundStub)
 
     // The neighbours' stubs fell back to stub state, not away: the
     // next exit is a runtime round trip, not a crash.
-    ASSERT_NE(cache.peek(1), nullptr);
-    ASSERT_EQ(cache.peek(1)->stubs.size(), 1u);
-    EXPECT_FALSE(cache.peek(1)->stubs[0].linked);
+    ASSERT_NE(cache.linksOf(1), nullptr);
+    ASSERT_EQ(cache.linksOf(1)->stubs.size(), 1u);
+    EXPECT_FALSE(cache.linksOf(1)->stubs[0].linked);
     EXPECT_EQ(cache.recordExit(1, 2), ExitKind::Unlinked);
 
     // Re-inserting the head re-links every waiting neighbour at
@@ -219,6 +220,129 @@ TEST(CodeCacheTest, FlushAllPolicyEmptiesOnCapacityPressure)
     EXPECT_TRUE(cache.contains(3));
     EXPECT_EQ(cache.flushes(), 1u);
     EXPECT_TRUE(cache.verifyLinkInvariants()) << invariantError(cache);
+}
+
+TEST(CodeCacheTest, InsertFindFlush)
+{
+    CodeCache cache = makeCache(0, CachePolicy::FlushAll);
+    EXPECT_EQ(cache.find(3), nullptr);
+    EXPECT_FALSE(cache.insert(3, 100).flushed);
+    ASSERT_NE(cache.find(3), nullptr);
+    EXPECT_EQ(cache.find(3)->instructions, 100u);
+    EXPECT_EQ(cache.size(), 1u);
+    EXPECT_EQ(cache.residentBytes(), 400u); // 4 bytes per instruction
+
+    cache.flushAll();
+    EXPECT_EQ(cache.size(), 0u);
+    EXPECT_EQ(cache.find(3), nullptr);
+    EXPECT_EQ(cache.flushes(), 1u);
+    EXPECT_EQ(cache.fragmentsFormed(), 1u); // lifetime count
+}
+
+TEST(CodeCacheTest, CapacityTriggersWholesaleFlush)
+{
+    // A session's 250-instruction cap under the default geometry.
+    CodeCache cache = makeCache(250 * 4, CachePolicy::FlushAll);
+    EXPECT_FALSE(cache.insert(1, 100).flushed);
+    EXPECT_FALSE(cache.insert(2, 100).flushed);
+    // 100 + 100 + 100 > 250: the third insert flushes first.
+    EXPECT_TRUE(cache.insert(3, 100).flushed);
+    EXPECT_EQ(cache.size(), 1u);
+    EXPECT_EQ(cache.find(1), nullptr);
+    EXPECT_NE(cache.find(3), nullptr);
+}
+
+TEST(CodeCacheDeathTest, DuplicateInsertPanics)
+{
+    CodeCache cache = makeCache(0, CachePolicy::FlushAll);
+    cache.insert(1, 10);
+    EXPECT_DEATH(cache.insert(1, 10), "already cached");
+    EXPECT_DEATH(cache.restore(1, 10, 0, 1), "already cached");
+}
+
+TEST(CodeCacheTest, LinksLiveBesideOnlyTheFragmentsThatLink)
+{
+    CodeCache cache = makeCache(0, CachePolicy::EvictLru);
+    cache.insert(1, 10);
+    cache.insert(2, 10);
+    cache.insert(3, 10, 0.5, StitchedFragment{3, {}});
+    // A path-granularity insert keeps no link bookkeeping at all.
+    EXPECT_EQ(cache.linksOf(1), nullptr);
+    ASSERT_NE(cache.linksOf(3), nullptr);
+    EXPECT_EQ(cache.linksOf(3)->ratio, 0.5);
+
+    // An exit gives the source its stub list; patching gives the
+    // target its inbound list.
+    EXPECT_EQ(cache.recordExit(1, 2), ExitKind::PatchedNow);
+    ASSERT_NE(cache.linksOf(1), nullptr);
+    ASSERT_NE(cache.linksOf(2), nullptr);
+    EXPECT_EQ(cache.linksOf(1)->stubs.size(), 1u);
+    EXPECT_EQ(cache.linksOf(2)->inbound,
+              std::vector<std::uint32_t>{1});
+
+    // The bookkeeping leaves with its fragment.
+    EXPECT_TRUE(cache.evict(1, EvictReason::Capacity));
+    EXPECT_EQ(cache.linksOf(1), nullptr);
+    EXPECT_TRUE(cache.linksOf(2)->inbound.empty());
+    EXPECT_TRUE(cache.verifyLinkInvariants()) << invariantError(cache);
+}
+
+TEST(CodeCacheTest, ResidentGaugesSumOverLiveCaches)
+{
+    telemetry::TelemetrySession session;
+    const telemetry::Gauge &bytes =
+        session.registry().gauge("dynamo.cache.resident.bytes");
+    const telemetry::Gauge &count =
+        session.registry().gauge("dynamo.cache.resident.fragments");
+
+    CodeCache first = makeCache(0, CachePolicy::FlushAll);
+    first.insert(1, 100); // 400 code bytes
+    {
+        CodeCache second = makeCache(0, CachePolicy::EvictLru);
+        EXPECT_EQ(bytes.get(), 400); // a new cache adds nothing
+        second.insert(2, 10);
+        second.recordExit(2, 3); // plus one 16-byte stub
+        EXPECT_EQ(bytes.get(), 400 + 56);
+        EXPECT_EQ(count.get(), 2);
+    }
+    // The destroyed cache withdrew exactly its own share.
+    EXPECT_EQ(bytes.get(), 400);
+    EXPECT_EQ(count.get(), 1);
+    first.flushAll();
+    EXPECT_EQ(bytes.get(), 0);
+    EXPECT_EQ(count.get(), 0);
+}
+
+TEST(CodeCacheTest, RestoreKeepsStampsAndCountsSilently)
+{
+    CodeCache source = makeCache(120, CachePolicy::EvictLru);
+    source.insert(1, 10);
+    source.insert(2, 10);
+    source.find(1);
+    source.find(1);
+
+    // Rebuild the cache fragment by fragment, as a migration import
+    // does, then drive both identically.
+    CodeCache copy = makeCache(120, CachePolicy::EvictLru);
+    source.forEach([&copy](const CodeFragment &fragment) {
+        copy.restore(fragment.key, fragment.instructions,
+                     fragment.executions, fragment.stamp);
+    });
+    copy.setClockValue(source.clockValue());
+    EXPECT_EQ(copy.fragmentsFormed(), 0u); // restores are not formed
+    EXPECT_EQ(copy.residentBytes(), source.residentBytes());
+    ASSERT_NE(copy.peek(1), nullptr);
+    EXPECT_EQ(copy.peek(1)->executions, 2u);
+    EXPECT_EQ(copy.peek(1)->stamp, source.peek(1)->stamp);
+
+    // 2 is the LRU victim in both: the stamps carried the order.
+    for (CodeCache *cache : {&source, &copy}) {
+        cache->insert(3, 10);
+        cache->insert(4, 10);
+        EXPECT_FALSE(cache->contains(2));
+        EXPECT_TRUE(cache->contains(1));
+    }
+    EXPECT_EQ(copy.clockValue(), source.clockValue());
 }
 
 namespace

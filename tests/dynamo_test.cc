@@ -1,13 +1,13 @@
 /**
  * @file
- * Tests for the Dynamo system model: fragment cache semantics, the
- * prediction-rate flush monitor, cycle accounting identities, the
- * NET-vs-path-profile dispatch asymmetry, and the bail-out heuristic.
+ * Tests for the Dynamo system model: the prediction-rate flush
+ * monitor, cycle accounting identities, the NET-vs-path-profile
+ * dispatch asymmetry, and the bail-out heuristic. The cache itself is
+ * tested in tests/dynamo_cache_test.cc and tests/cache_policy_test.cc.
  */
 
 #include <gtest/gtest.h>
 
-#include "dynamo/fragment_cache.hh"
 #include "dynamo/system.hh"
 #include "workload/synthesis.hh"
 
@@ -37,42 +37,6 @@ feed(DynamoSystem &system, const PathEvent &e, std::uint64_t count)
 }
 
 } // namespace
-
-TEST(FragmentCacheTest, InsertFindFlush)
-{
-    FragmentCache cache;
-    EXPECT_EQ(cache.find(3), nullptr);
-    EXPECT_FALSE(cache.insert(3, 100));
-    ASSERT_NE(cache.find(3), nullptr);
-    EXPECT_EQ(cache.find(3)->instructions, 100u);
-    EXPECT_EQ(cache.size(), 1u);
-    EXPECT_EQ(cache.occupancyInstructions(), 100u);
-
-    cache.flushAll();
-    EXPECT_EQ(cache.size(), 0u);
-    EXPECT_EQ(cache.find(3), nullptr);
-    EXPECT_EQ(cache.flushes(), 1u);
-    EXPECT_EQ(cache.fragmentsFormed(), 1u); // lifetime count
-}
-
-TEST(FragmentCacheTest, CapacityTriggersWholesaleFlush)
-{
-    FragmentCache cache(250);
-    EXPECT_FALSE(cache.insert(1, 100));
-    EXPECT_FALSE(cache.insert(2, 100));
-    // 100 + 100 + 100 > 250: the third insert flushes first.
-    EXPECT_TRUE(cache.insert(3, 100));
-    EXPECT_EQ(cache.size(), 1u);
-    EXPECT_EQ(cache.find(1), nullptr);
-    EXPECT_NE(cache.find(3), nullptr);
-}
-
-TEST(FragmentCacheDeathTest, DuplicateInsertPanics)
-{
-    FragmentCache cache;
-    cache.insert(1, 10);
-    EXPECT_DEATH(cache.insert(1, 10), "already cached");
-}
 
 TEST(PredictionRateMonitorTest, SpikesOnRateJump)
 {

@@ -20,7 +20,7 @@
 
 #include <gtest/gtest.h>
 
-#include "dynamo/fragment_cache.hh"
+#include "dynamo/code_cache.hh"
 #include "engine/engine.hh"
 #include "engine/session.hh"
 #include "engine/session_table.hh"
@@ -599,6 +599,54 @@ TEST(Session, CachedPathsBypassTheProfiler)
     EXPECT_EQ(session.stats().eventsProcessed, 5u);
 }
 
+TEST(Session, SnapshotsCarryFragmentExecutions)
+{
+    // A path served N times from the session's cache exports
+    // executions == N, and an import -> export round trip keeps it.
+    SessionConfig config;
+    config.predictionDelay = 3;
+    Session session(1, config);
+
+    PathEvent event;
+    event.path = 9;
+    event.head = 2;
+    event.instructions = 10;
+    constexpr std::uint64_t kServed = 97;
+    for (std::uint64_t i = 0; i < 3 + kServed; ++i)
+        session.consume(event);
+    ASSERT_EQ(session.stats().cachedEvents, kServed);
+
+    wire::SessionState exported;
+    session.exportState(exported);
+    ASSERT_EQ(exported.fragments.size(), 1u);
+    EXPECT_EQ(exported.fragments[0].path, 9u);
+    EXPECT_EQ(exported.fragments[0].executions, kServed);
+
+    Session migrated(1, config);
+    migrated.importState(exported);
+    wire::SessionState again;
+    migrated.exportState(again);
+    ASSERT_EQ(again.fragments.size(), 1u);
+    EXPECT_EQ(again.fragments[0].executions, kServed);
+    EXPECT_EQ(again.fragments[0].lastUse,
+              exported.fragments[0].lastUse);
+    EXPECT_EQ(again.cacheClock, exported.cacheClock);
+
+    // The imported count keeps counting where the exporter stopped.
+    migrated.consume(event);
+    migrated.exportState(again);
+    EXPECT_EQ(again.fragments[0].executions, kServed + 1);
+}
+
+TEST(SessionDeathTest, RejectsCachePoliciesASessionDoesNotServe)
+{
+    SessionConfig config;
+    config.cachePolicy = CachePolicy::EvictFifo;
+    EXPECT_DEATH(Session(1, config), "FlushAll or EvictLru");
+    config.cachePolicy = CachePolicy::Generational;
+    EXPECT_DEATH(Session(1, config), "FlushAll or EvictLru");
+}
+
 // Session table ----------------------------------------------------
 
 TEST(SessionTable, EvictsLeastRecentlyActiveWhenFull)
@@ -789,7 +837,9 @@ TEST(Engine, SerialModeMatchesHandRolledReplay)
     for (const ClientTraffic &client : traffic) {
         // The reference replay: the exact components a session embeds.
         NetPredictor predictor(13);
-        FragmentCache cache(0, FragmentCache::EvictionPolicy::EvictLru);
+        CodeCacheConfig cache_config;
+        cache_config.policy = CachePolicy::EvictLru;
+        CodeCache cache(cache_config);
         std::vector<PathIndex> expected;
         for (const PathEvent &event : client.events) {
             if (cache.find(event.path) != nullptr)
