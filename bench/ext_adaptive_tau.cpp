@@ -187,8 +187,7 @@ AdaptiveOutcome
 runAdaptive(std::uint64_t seed)
 {
     engine::Engine eng(makeEngineConfig(kAdaptiveStartTau));
-    control::ControllerConfig ccfg;
-    control::Controller controller(eng, ccfg);
+    control::Controller controller(eng);
 
     std::vector<AdversarialStream> streams;
     for (const AdversarialKind kind : kWorkloads) {

@@ -397,11 +397,7 @@ main(int argc, char **argv)
             // into the admin /stats document before the server
             // starts answering. The admin endpoint opens on an
             // ephemeral port so engine_top can watch the run live.
-            control::ControllerConfig ctlCfg;
-            ctlCfg.queueCapacityFrames =
-                engineCfg.queueCapacityFrames;
-            controller = std::make_unique<control::Controller>(
-                *eng, ctlCfg);
+            controller = std::make_unique<control::Controller>(*eng);
             server->setStatsAugmenter(
                 [ctl = controller.get()](std::ostream &os) {
                     ctl->appendStats(os);
@@ -890,8 +886,7 @@ main(int argc, char **argv)
                 << ", \"responses_dropped\": "
                 << netStats.responsesDropped
                 << ", \"read_pauses\": " << netStats.readPauses
-                << ", \"accepted\": " << netStats.accepted
-                << ", \"shed\": " << netStats.shed << "},\n"
+                << ", \"accepted\": " << netStats.accepted << "},\n"
                 << "  \"engine\": {"
                 << "\"submitted\": " << engineStats.framesSubmitted
                 << ", \"rejected\": " << engineStats.framesRejected

@@ -371,9 +371,9 @@ runRoute(std::size_t backend_count, std::uint64_t seed,
     if (rc != 0)
         return rc;
 
-    std::cout << "\nRouting topology (ring seed "
-              << routerCfg.ringSeed << ", " << routerCfg.virtualNodes
-              << " points/backend):\n\n";
+    const cluster::HashRingConfig ring;
+    std::cout << "\nRouting topology (ring seed " << ring.seed << ", "
+              << ring.virtualNodes << " points/backend):\n\n";
     TextTable table;
     table.setHeader({"Backend", "Port", "Alive", "Sessions",
                      "Frames sent"});

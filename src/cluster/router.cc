@@ -42,7 +42,6 @@ struct PollTarget
 
 Router::Router(RouterConfig config)
     : cfg(std::move(config)),
-      ring(HashRingConfig{cfg.virtualNodes, cfg.ringSeed}),
       admin({{"/stats", "application/json",
               [this] { return statsJson(); }},
              {"/topology", "application/json",
@@ -81,7 +80,6 @@ Router::makeClient(std::uint64_t id,
     cc.port = address.port;
     cc.connectAttempts = cfg.connectAttempts;
     cc.retryBaseMs = cfg.retryBaseMs;
-    cc.retryMaxExponent = cfg.retryMaxExponent;
     // Distinct jitter stream per backend so a fleet-wide reconnect
     // storm (every backend restarted at once) spreads apart.
     cc.retryJitterSeed = cfg.retryJitterSeed ^ id;
@@ -288,7 +286,7 @@ Router::routerLoop()
                     break;
                 ClientConn &conn = it->second;
                 if (revents & POLLOUT)
-                    flushClient(conn, {});
+                    conn.framed.flush();
                 // A hang-up or error on a half-closed client means it
                 // is gone both ways.
                 if ((revents & (POLLIN | POLLHUP | POLLERR)) &&
@@ -532,10 +530,7 @@ Router::forwardReply(std::uint64_t client_conn,
                                     reply.sequence,
                                     reply.predictions.data(),
                                     reply.predictions.size());
-    if (flushClient(it->second, replyScratch))
-        responsesOut.add();
-    else
-        responsesDropped.add();
+    sendReply(it->second, responsesOut);
 }
 
 void
@@ -551,25 +546,25 @@ Router::synthesizeReply(std::uint64_t session,
     replyScratch.clear();
     wire::appendPredictionFrame(replyScratch, session, sequence,
                                 nullptr, 0);
-    // A refused reply is dropped, not synthesized, so the ledger
-    // frames in == out + synthesized + dropped still closes.
-    if (flushClient(it->second, replyScratch))
-        responsesSynthesized.add();
-    else
-        responsesDropped.add();
+    sendReply(it->second, responsesSynthesized);
 }
 
-bool
-Router::flushClient(ClientConn &conn,
-                    const std::vector<std::uint8_t> &reply)
+void
+Router::sendReply(ClientConn &conn, telemetry::CounterStat &sent)
 {
-    if (!conn.framed.append(reply.data(), reply.size()))
-        return false; // over the client's backlog cap
+    // A refused reply is dropped, not sent, so the ledger
+    // frames in == out + synthesized + dropped still closes.
+    if (!conn.framed.append(replyScratch.data(), replyScratch.size())) {
+        responsesDropped.add();
+        return;
+    }
+    // Count before the bytes can leave: a client holding its last
+    // reply may read /stats next and must find it counted.
+    sent.add();
     // WouldBlock: POLLOUT resumes the flush. After a failed write the
     // client closes once nothing is owed - never here: this may run
     // inside the client's own scan.
     conn.framed.flush();
-    return true;
 }
 
 void
@@ -938,7 +933,7 @@ Router::executeCommand(const Command &command)
                 backend->retiring || !ring.contains(id))
                 continue;
             std::size_t points =
-                cfg.virtualNodes * permille / 1000;
+                HashRingConfig{}.virtualNodes * permille / 1000;
             if (points == 0)
                 points = 1;
             if (ring.nodePoints(id) == points)

@@ -95,13 +95,6 @@ struct RouterConfig
     /** Initial backend fleet; start() connects to each in order. */
     std::vector<BackendAddress> backends;
 
-    /** Ring points per backend (HashRingConfig::virtualNodes). */
-    std::size_t virtualNodes = 64;
-
-    /** Ring hash seed; the session->backend map is a pure function
-     *  of (seed, membership), deterministic across runs. */
-    std::uint64_t ringSeed = 0;
-
     /** Connect attempts per backend (initial connect and the
      *  reconnect probe before failover declares it dead). */
     std::uint32_t connectAttempts = 4;
@@ -109,10 +102,6 @@ struct RouterConfig
     /** Backend connect backoff base, in milliseconds
      *  (ClientConfig::retryBaseMs). */
     std::uint64_t retryBaseMs = 5;
-
-    /** Backend connect backoff exponent cap
-     *  (ClientConfig::retryMaxExponent). */
-    std::uint32_t retryMaxExponent = 4;
 
     /** Seed for the backends' deterministic connect jitter
      *  (ClientConfig::retryJitterSeed, xored with the backend id). */
@@ -273,14 +262,14 @@ class Router
      * Apply per-backend load hints (asynchronous): each (backend id,
      * weight in permille of nominal) entry re-weights that backend's
      * share of the ring - its point count becomes
-     * virtualNodes * weight / 1000, clamped to at least 1 - and
-     * sessions whose owner changed migrate through the usual
-     * drain-and-rehash protocol. 1000 restores the nominal share; an
-     * overloaded backend hinted down to 500 sheds roughly half its
-     * arc to the rest of the fleet. Unknown, dead or retiring
-     * backend ids are ignored. This is the attachment point for the
-     * adaptive control plane: a controller watching the backends'
-     * control_* stats posts its exported load hints here.
+     * HashRingConfig::virtualNodes * weight / 1000, clamped to at
+     * least 1 - and sessions whose owner changed migrate through the
+     * usual drain-and-rehash protocol. 1000 restores the nominal
+     * share; an overloaded backend hinted down to 500 sheds roughly
+     * half its arc to the rest of the fleet. Unknown, dead or
+     * retiring backend ids are ignored. This is the attachment point
+     * for the adaptive control plane: a controller watching the
+     * backends' control_* stats posts its exported load hints here.
      */
     void setBackendWeights(
         std::vector<std::pair<std::uint64_t, std::uint32_t>>
@@ -430,11 +419,10 @@ class Router
     void synthesizeToConn(std::uint64_t session,
                           std::uint64_t sequence,
                           std::uint64_t client_conn);
-    /** Queue `reply` on a client and flush its replies. Returns
-     *  false, queueing nothing, when the reply would take the
-     *  client's backlog past maxOutBufferBytes. */
-    bool flushClient(ClientConn &conn,
-                     const std::vector<std::uint8_t> &reply);
+    /** Queue replyScratch on a client, count it in `sent` and flush
+     *  the client's replies. A reply that would take the client's
+     *  backlog past maxOutBufferBytes is dropped (counted) instead. */
+    void sendReply(ClientConn &conn, telemetry::CounterStat &sent);
     void closeClient(std::uint64_t conn_id);
     /** Reconnect a broken backend and replay its ledger, or declare
      *  it dead and fail its sessions over. */

@@ -8,6 +8,35 @@ namespace hotpath::control
 namespace
 {
 
+// Classification thresholds, in permille / per-kilo-event units.
+// They are tuned against the adversarial workloads in
+// src/progen/adversarial.hh; see docs/OPERATIONS.md "Adaptive
+// control" before changing them.
+
+/** Epochs with fewer events than this classify as Idle. */
+constexpr std::uint64_t kMinEventsPerEpoch = 256;
+
+/** HeadChurn when new head counters per kilo-event reach this. */
+constexpr std::uint32_t kChurnPerKiloEvent = 6;
+
+/** Noisy when predictions per kilo-event reach this. A converged
+ *  session promotes almost nothing (its hot paths are cached and stop
+ *  feeding the predictor), so sustained promotion velocity is junk
+ *  promotion regardless of the coverage it leaves. */
+constexpr std::uint32_t kNoisyVelocityPerKiloEvent = 12;
+
+/** PhaseShifting when coverage falls below this permille. Set well
+ *  below a healthy-but-bursty session's worst epoch: only a genuine
+ *  working-set move collapses coverage this far. */
+constexpr std::uint32_t kLowCoveragePermille = 750;
+
+/** Sliding window (in epochs) for the coverage spread signal. */
+constexpr std::size_t kSpreadWindowEpochs = 4;
+
+/** PhaseShifting when the windowed coverage spread (max - min)
+ *  reaches this permille, even if the mean coverage is high. */
+constexpr std::uint32_t kPhaseSpreadPermille = 250;
+
 /** 1000 * num / den with integer arithmetic; 0 when den is 0. */
 std::uint32_t
 permilleOf(std::uint64_t num, std::uint64_t den)
@@ -35,13 +64,6 @@ sessionClassName(SessionClass cls)
         return "churn";
     }
     return "unknown";
-}
-
-SessionClassifier::SessionClassifier(ClassifierConfig config)
-    : cfg(config)
-{
-    if (cfg.spreadWindowEpochs == 0)
-        cfg.spreadWindowEpochs = 1;
 }
 
 SessionClass
@@ -76,7 +98,7 @@ SessionClassifier::observe(const SessionSample &sample,
     sig.velocityPerKiloEvent = permilleOf(d_predictions, sig.events);
     sig.churnPerKiloEvent = permilleOf(d_counters, sig.events);
 
-    if (sig.events < cfg.minEventsPerEpoch) {
+    if (sig.events < kMinEventsPerEpoch) {
         // Too quiet to judge; do not pollute the coverage window
         // with a noisy small-sample ratio either.
         if (signals_out)
@@ -84,7 +106,7 @@ SessionClassifier::observe(const SessionSample &sample,
         return SessionClass::Idle;
     }
 
-    if (state.window.size() < cfg.spreadWindowEpochs) {
+    if (state.window.size() < kSpreadWindowEpochs) {
         state.window.push_back(sig.coveragePermille);
     } else {
         state.window[state.windowNext] = sig.coveragePermille;
@@ -97,12 +119,12 @@ SessionClassifier::observe(const SessionSample &sample,
     if (signals_out)
         *signals_out = sig;
 
-    if (sig.churnPerKiloEvent >= cfg.churnPerKiloEvent)
+    if (sig.churnPerKiloEvent >= kChurnPerKiloEvent)
         return SessionClass::HeadChurn;
-    if (sig.velocityPerKiloEvent >= cfg.noisyVelocityPerKiloEvent)
+    if (sig.velocityPerKiloEvent >= kNoisyVelocityPerKiloEvent)
         return SessionClass::Noisy;
-    if (sig.coveragePermille < cfg.lowCoveragePermille ||
-        sig.spreadPermille >= cfg.phaseSpreadPermille)
+    if (sig.coveragePermille < kLowCoveragePermille ||
+        sig.spreadPermille >= kPhaseSpreadPermille)
         return SessionClass::PhaseShifting;
     return SessionClass::Stable;
 }

@@ -73,37 +73,6 @@ constexpr std::size_t kSessionClassCount = 5;
  *  control.class.* instrument names. */
 const char *sessionClassName(SessionClass cls);
 
-/** Classification thresholds (all integer, permille / per-kilo-event
- *  units). Defaults are tuned against the adversarial workloads in
- *  src/progen/adversarial.hh; see docs/OPERATIONS.md "Adaptive
- *  control" before changing them. */
-struct ClassifierConfig
-{
-    /** Epochs with fewer events than this classify as Idle. */
-    std::uint64_t minEventsPerEpoch = 256;
-
-    /** HeadChurn when new head counters per kilo-event reach this. */
-    std::uint32_t churnPerKiloEvent = 6;
-
-    /** Noisy when predictions per kilo-event reach this. A converged
-     *  session promotes almost nothing (its hot paths are cached and
-     *  stop feeding the predictor), so sustained promotion velocity
-     *  is junk promotion regardless of the coverage it leaves. */
-    std::uint32_t noisyVelocityPerKiloEvent = 12;
-
-    /** PhaseShifting when coverage falls below this permille. Set
-     *  well below a healthy-but-bursty session's worst epoch: only a
-     *  genuine working-set move collapses coverage this far. */
-    std::uint32_t lowCoveragePermille = 750;
-
-    /** Sliding window (in epochs) for the coverage spread signal. */
-    std::size_t spreadWindowEpochs = 4;
-
-    /** PhaseShifting when the windowed coverage spread (max - min)
-     *  reaches this permille, even if the mean coverage is high. */
-    std::uint32_t phaseSpreadPermille = 250;
-};
-
 /** One session's cumulative counters as observed at an epoch
  *  boundary (Engine::withSessionStats provides every field). */
 struct SessionSample
@@ -138,14 +107,13 @@ struct SessionSignals
 };
 
 /**
- * Per-session streaming classifier; see the file comment. Not
- * thread-safe - the controller serializes access.
+ * Per-session streaming classifier; see the file comment. Its
+ * thresholds are constants in classifier.cc. Not thread-safe - the
+ * controller serializes access.
  */
 class SessionClassifier
 {
   public:
-    explicit SessionClassifier(ClassifierConfig config = {});
-
     /**
      * Feed one epoch-boundary observation for `sample.session` and
      * classify the epoch it closes. The first observation of a
@@ -163,9 +131,6 @@ class SessionClassifier
     /** Sessions currently tracked. */
     std::size_t tracked() const { return states.size(); }
 
-    /** The thresholds in effect. */
-    const ClassifierConfig &config() const { return cfg; }
-
   private:
     struct State
     {
@@ -175,7 +140,6 @@ class SessionClassifier
         std::size_t windowNext = 0;
     };
 
-    ClassifierConfig cfg;
     /** Ordered map so iteration (and forget-then-reseed behaviour)
      *  is deterministic across runs. */
     std::map<std::uint64_t, State> states;

@@ -1,41 +1,62 @@
 #include "control/controller.hh"
 
 #include <algorithm>
+#include <array>
 #include <ostream>
 #include <string>
 
 #include "engine/engine.hh"
-#include "support/logging.hh"
 #include "telemetry/telemetry.hh"
 
 namespace hotpath::control
 {
 
-Controller::Controller(engine::Engine &eng, ControllerConfig config)
-    : eng(eng), cfg(std::move(config)), classifier(cfg.classifier)
+namespace
 {
-    HOTPATH_ASSERT(!cfg.tauRungs.empty(),
-                   "controller needs at least one tau rung");
-    HOTPATH_ASSERT(
-        std::is_sorted(cfg.tauRungs.begin(), cfg.tauRungs.end()),
-        "tau rungs must ascend");
-    if (cfg.queueCapacityFrames == 0)
-        cfg.queueCapacityFrames = 1;
 
+/**
+ * The τ ladder, ascending. Retunes move sessions one rung at a time;
+ * a session whose τ is between rungs snaps to the nearest rung on its
+ * first move. The rungs bracket the paper's operating range: 8
+ * (reactive), 64 (the "less is more" sweet spot), 1000
+ * (conservative).
+ */
+constexpr std::array<std::uint64_t, 3> kTauRungs = {8, 64, 1000};
+static_assert(std::is_sorted(kTauRungs.begin(), kTauRungs.end()),
+              "tau rungs must ascend");
+
+/** Engage forced shedding when max shard queue occupancy reaches
+ *  this permille of capacity. */
+constexpr std::uint32_t kShedOnPermille = 700;
+
+/** Release forced shedding when occupancy falls back below this
+ *  permille (the gap is the hysteresis band). */
+constexpr std::uint32_t kShedOffPermille = 300;
+
+/** Retune decisions kept in the in-memory log (oldest dropped
+ *  first); the determinism test replays the whole log. */
+constexpr std::size_t kDecisionLogCap = 4096;
+
+/** Index of the rung nearest to `tau` (first rung >= tau, else the
+ *  top rung). */
+std::size_t
+rungOf(std::uint64_t tau)
+{
+    for (std::size_t i = 0; i < kTauRungs.size(); ++i)
+        if (kTauRungs[i] >= tau)
+            return i;
+    return kTauRungs.size() - 1;
+}
+
+} // namespace
+
+Controller::Controller(engine::Engine &eng) : eng(eng)
+{
     tmRetunes = telemetry::counter("control.retunes");
     for (std::size_t i = 0; i < kSessionClassCount; ++i)
         classTallies[i].attach(
             std::string("control.class.") +
             sessionClassName(static_cast<SessionClass>(i)));
-}
-
-std::size_t
-Controller::rungOf(std::uint64_t tau) const
-{
-    for (std::size_t i = 0; i < cfg.tauRungs.size(); ++i)
-        if (cfg.tauRungs[i] >= tau)
-            return i;
-    return cfg.tauRungs.size() - 1;
 }
 
 std::uint32_t
@@ -47,7 +68,7 @@ Controller::measurePressure() const
         max_depth = std::max(max_depth, depth);
     const std::uint64_t permille =
         static_cast<std::uint64_t>(max_depth) * 1000 /
-        cfg.queueCapacityFrames;
+        eng.queueCapacityFrames();
     return static_cast<std::uint32_t>(std::min<std::uint64_t>(
         permille, 1000));
 }
@@ -84,7 +105,7 @@ Controller::stepWithLoad(std::uint32_t pressure_permille)
                   return a.session < b.session;
               });
     observedCount.set(static_cast<std::int64_t>(scratchSamples.size()));
-    rungOccupancy.assign(cfg.tauRungs.size(), 0);
+    rungOccupancy.assign(kTauRungs.size(), 0);
     for (const SessionSample &sample : scratchSamples)
         ++rungOccupancy[rungOf(sample.predictionDelay)];
 
@@ -100,7 +121,7 @@ Controller::stepWithLoad(std::uint32_t pressure_permille)
         case SessionClass::Noisy:
             // Junk promotions: raise τ so only genuinely hot paths
             // clear the bar.
-            if (rung + 1 < cfg.tauRungs.size())
+            if (rung + 1 < kTauRungs.size())
                 target = rung + 1;
             break;
         case SessionClass::PhaseShifting:
@@ -114,7 +135,7 @@ Controller::stepWithLoad(std::uint32_t pressure_permille)
         case SessionClass::Stable:
             break;
         }
-        const std::uint64_t tau_after = cfg.tauRungs[target];
+        const std::uint64_t tau_after = kTauRungs[target];
         if (tau_after == sample.predictionDelay)
             continue;
         if (!eng.retuneSession(sample.session, tau_after))
@@ -125,7 +146,7 @@ Controller::stepWithLoad(std::uint32_t pressure_permille)
         decisionCount.add();
         if (tmRetunes)
             tmRetunes->add(1);
-        if (log.size() >= cfg.decisionLogCap)
+        if (log.size() >= kDecisionLogCap)
             log.erase(log.begin());
         log.push_back(ControlDecision{epochCount.get(), sample.session,
                                       cls, sample.predictionDelay,
@@ -139,11 +160,11 @@ Controller::stepWithLoad(std::uint32_t pressure_permille)
     // 4. Queue-pressure response with hysteresis.
     lastPressure.set(pressure_permille);
     bool shedding = shedActive.get() != 0;
-    if (!shedding && pressure_permille >= cfg.shedOnPermille) {
+    if (!shedding && pressure_permille >= kShedOnPermille) {
         shedding = true;
         shedEngagedCount.add();
         eng.setForcedShedding(true);
-    } else if (shedding && pressure_permille < cfg.shedOffPermille) {
+    } else if (shedding && pressure_permille < kShedOffPermille) {
         shedding = false;
         shedReleasedCount.add();
         eng.setForcedShedding(false);
@@ -214,10 +235,10 @@ Controller::appendStats(std::ostream &os) const
     // last epoch's snapshot) as flat arrays, so engine_top can show
     // where the fleet of sessions currently sits.
     os << ",\"control_tau_rungs\":[";
-    for (std::size_t i = 0; i < cfg.tauRungs.size(); ++i)
-        os << (i ? "," : "") << cfg.tauRungs[i];
+    for (std::size_t i = 0; i < kTauRungs.size(); ++i)
+        os << (i ? "," : "") << kTauRungs[i];
     os << "],\"control_tau_sessions\":[";
-    for (std::size_t i = 0; i < cfg.tauRungs.size(); ++i)
+    for (std::size_t i = 0; i < kTauRungs.size(); ++i)
         os << (i ? "," : "")
            << (i < rungOccupancy.size() ? rungOccupancy[i] : 0);
     os << "]";

@@ -12,20 +12,20 @@
  *   1. snapshot every resident session's counters (one forEach pass,
  *      sorted by session id);
  *   2. classify each session's epoch with the SessionClassifier;
- *   3. move misbehaving sessions one rung along the τ ladder
- *      (Engine::retuneSession) - Noisy traffic steps UP to a more
+ *   3. move misbehaving sessions one rung along the τ ladder (8, 64,
+ *      1000; Engine::retuneSession) - Noisy traffic steps UP to a more
  *      conservative τ (stop promoting junk), PhaseShifting and
  *      HeadChurn traffic steps DOWN to a more reactive τ (re-learn
  *      the new hot paths quickly), Stable and Idle sessions hold;
  *   4. respond to queue pressure with hysteresis: engage forced
- *      load shedding (Engine::setForcedShedding) above the high
- *      watermark, release below the low one;
+ *      load shedding (Engine::setForcedShedding) at 700 permille of
+ *      the engine's queue capacity, release below 300;
  *   5. refresh the exported load hint (loadHintPermille) that a
  *      cluster router can feed to Router::setBackendWeights.
  *
  * Determinism contract: the controller is a pure function of its
- * configuration, the observed engine counters and its own epoch
- * counter. It reads no clock and draws no randomness, so a serial
+ * constants (controller.cc, classifier.cc), the observed engine
+ * counters and its own epoch counter. It reads no clock and draws no randomness, so a serial
  * replay of the same traffic with step() called at the same frame
  * boundaries reproduces the identical decision log and - because τ
  * retunes land between frames - the identical predictions,
@@ -62,39 +62,6 @@ class Engine;
 
 namespace control
 {
-
-/** Controller tuning. */
-struct ControllerConfig
-{
-    /** Classification thresholds. */
-    ClassifierConfig classifier;
-
-    /**
-     * The τ ladder, ascending. Retunes move sessions one rung at a
-     * time; a session whose τ is between rungs snaps to the nearest
-     * rung on its first move. The defaults bracket the paper's
-     * operating range: 8 (reactive), 64 (the "less is more" sweet
-     * spot), 1000 (conservative).
-     */
-    std::vector<std::uint64_t> tauRungs = {8, 64, 1000};
-
-    /** Engage forced shedding when max shard queue occupancy
-     *  reaches this permille of capacity. */
-    std::uint32_t shedOnPermille = 700;
-
-    /** Release forced shedding when it falls back below this
-     *  permille (the gap is the hysteresis band). */
-    std::uint32_t shedOffPermille = 300;
-
-    /** The engine's per-shard queue capacity in frames (used to turn
-     *  queue depths into occupancy permille; keep in sync with
-     *  EngineConfig::queueCapacityFrames). */
-    std::size_t queueCapacityFrames = 256;
-
-    /** Retune decisions kept in the in-memory log (oldest dropped
-     *  first); the determinism test replays the whole log. */
-    std::size_t decisionLogCap = 4096;
-};
 
 /** One τ retune the controller committed. */
 struct ControlDecision
@@ -141,11 +108,12 @@ class Controller
 {
   public:
     /** Attach to `eng`; the engine must outlive the controller. */
-    Controller(engine::Engine &eng, ControllerConfig config = {});
+    explicit Controller(engine::Engine &eng);
 
     /**
      * Run one control epoch against the engine's current queue
-     * depths (reads Engine::stats() for the pressure signal). For
+     * depths (reads Engine::stats() for the pressure signal and
+     * Engine::queueCapacityFrames() for its denominator). For
      * deterministic replay and tests, prefer stepWithLoad() with an
      * explicit pressure value.
      */
@@ -185,20 +153,12 @@ class Controller
      */
     void appendStats(std::ostream &os) const;
 
-    /** The configuration in effect. */
-    const ControllerConfig &config() const { return cfg; }
-
   private:
-    /** Index of the rung nearest to `tau` (first rung >= tau, else
-     *  the top rung). */
-    std::size_t rungOf(std::uint64_t tau) const;
-
     /** Max shard queue occupancy right now, permille of capacity
      *  (reads Engine::stats()). */
     std::uint32_t measurePressure() const;
 
     engine::Engine &eng;
-    ControllerConfig cfg;
 
     mutable std::mutex mu;
     SessionClassifier classifier;

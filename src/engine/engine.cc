@@ -40,6 +40,11 @@ rejectSlot(wire::DecodeStatus status)
  *  self-heal instead of hanging drain(). */
 constexpr auto kParkTimeout = std::chrono::milliseconds(2);
 
+/** Cap on the re-admission backoff doubling: a poisoned session
+ *  drops at most backoffBaseFrames << 10 frames (16,384 at the
+ *  default base) however often it has been poisoned. */
+constexpr std::uint32_t kBackoffMaxExponent = 10;
+
 } // namespace
 
 struct Engine::InlineState
@@ -88,15 +93,12 @@ Engine::Engine(EngineConfig config)
     HOTPATH_ASSERT(cfg.delayWindowFrames >= 1,
                    "delay window must be at least one frame");
 
-    if (fault::kCompiledIn && cfg.faults.enabled())
+    if (cfg.faults.enabled())
         injector = std::make_unique<fault::FaultInjector>(cfg.faults);
 
     if (cfg.spanSampleEvery > 0) {
-        telemetry::SpanConfig span_cfg;
-        span_cfg.sampleEvery = cfg.spanSampleEvery;
-        span_cfg.emitTrace = cfg.spanTrace;
-        ownedSpans =
-            std::make_unique<telemetry::SpanRecorder>(span_cfg);
+        ownedSpans = std::make_unique<telemetry::SpanRecorder>(
+            telemetry::SpanConfig{cfg.spanSampleEvery});
         spans = ownedSpans.get();
     }
 
@@ -242,7 +244,7 @@ Engine::submit(std::vector<std::uint8_t> frame, std::uint64_t tag)
     const std::uint64_t submitted =
         framesSubmitted.fetch_add(1, std::memory_order_relaxed) + 1;
 
-    if (fault::kCompiledIn && injector) {
+    if (injector) {
         std::uint64_t aux = 0;
         if (injector->armed(fault::Site::FrameDrop) &&
             injector->shouldInject(fault::Site::FrameDrop)) {
@@ -617,8 +619,7 @@ Engine::attributeDecodeError(const std::uint8_t *data,
     // fresh session accepts traffic again.
     const std::uint64_t backoff =
         scfg.backoffBaseFrames
-        << std::min<std::uint32_t>(generation,
-                                   scfg.backoffMaxExponent);
+        << std::min(generation, kBackoffMaxExponent);
     table.rebuildSessionLocked(header.session, [&](Session &session) {
         session.enterBackoff(backoff, generation + 1);
     });
@@ -935,7 +936,7 @@ Engine::workerLoop(std::size_t worker_index)
             const std::uint64_t now = telemetry::monotonicNanos();
             self.busyNs.add(now - mark);
             mark = now;
-            if (fault::kCompiledIn && injector &&
+            if (injector &&
                 injector->armed(fault::Site::WorkerStall) &&
                 injector->shouldInject(fault::Site::WorkerStall)) {
                 // Cooperative injected stall: park until the

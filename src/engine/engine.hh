@@ -261,10 +261,6 @@ struct EngineConfig
      * boundary instead (Engine::setSpanRecorder) and this must stay 0.
      */
     std::uint64_t spanSampleEvery = 0;
-
-    /** Emit sampled stages as StageSpan trace records too (only
-     *  meaningful with spanSampleEvery != 0). */
-    bool spanTrace = false;
 };
 
 /** Why a submitted frame was rejected. */
@@ -537,14 +533,6 @@ class Engine
     bool retuneSession(std::uint64_t session_id,
                        std::uint64_t prediction_delay);
 
-    /** Override the prediction delay for sessions created from here
-     *  on (0 restores the configured default); resident sessions are
-     *  untouched. */
-    void setDefaultPredictionDelay(std::uint64_t delay)
-    {
-        table.setDefaultPredictionDelay(delay);
-    }
-
     /**
      * Force overload shedding on (or back to automatic with false) -
      * the adaptive controller's queue-pressure response. Only
@@ -593,6 +581,14 @@ class Engine
 
     /** True when running in serial fallback mode (no workers). */
     bool serial() const { return workers.empty() && cfg.workerThreads == 0; }
+
+    /** Frames each shard ring really holds: EngineConfig's
+     *  queueCapacityFrames rounded up to a power of two. Every
+     *  queue depth in EngineStats is at most this. */
+    std::size_t queueCapacityFrames() const
+    {
+        return cfg.queueCapacityFrames;
+    }
 
     /** Aggregate accounting (takes the stripe locks briefly). */
     EngineStats stats() const;

@@ -38,14 +38,6 @@ struct SessionConfig
     /** Re-arm head counters after each prediction (NET default). */
     bool reArm = true;
 
-    /**
-     * Exponential counter decay after a prediction: head counters
-     * restart at count >> decayShift instead of zero (or instead of
-     * retiring under reArm = false), so re-hot heads re-arm cheaply.
-     * 0 = off (paper-exact restart/retirement).
-     */
-    std::uint32_t decayShift = 0;
-
     /** Per-session fragment cache capacity in instructions (0 = no
      *  cap). */
     std::uint64_t cacheCapacityInstr = 0;
@@ -70,12 +62,9 @@ struct SessionConfig
     std::uint64_t errorBudget = 0;
 
     /** Re-admission backoff after the first poisoning, measured in
-     *  decoded frames dropped (doubles with each poisoning). */
+     *  decoded frames dropped (doubles with each poisoning, up to
+     *  2^10 times this base). */
     std::uint64_t backoffBaseFrames = 16;
-
-    /** Cap on the backoff doubling: backoff never exceeds
-     *  backoffBaseFrames << backoffMaxExponent. */
-    std::uint32_t backoffMaxExponent = 10;
 };
 
 /** Counters one session accumulates over its lifetime. */
@@ -165,7 +154,7 @@ class Session
      * Record one decode error attributed to this session identity.
      * Returns true when the error budget (SessionConfig::errorBudget)
      * is now exhausted - the session is *poisoned* and the engine
-     * rebuilds it (ShardedSessionTable::rebuildSession). Always
+     * rebuilds it (ShardedSessionTable::rebuildSessionLocked). Always
      * returns false when the budget is disabled (0).
      */
     bool noteDecodeError();

@@ -47,17 +47,6 @@ ShardedSessionTable::ShardedSessionTable(SessionTableConfig config)
     tmLockWait = telemetry::histogram("engine.table.lock.wait.ns");
 }
 
-SessionConfig
-ShardedSessionTable::makeSessionConfig() const
-{
-    SessionConfig session = cfg.session;
-    const std::uint64_t dyn =
-        dynamicDelay.load(std::memory_order_relaxed);
-    if (dyn != 0)
-        session.predictionDelay = dyn;
-    return session;
-}
-
 std::size_t
 ShardedSessionTable::shardOf(std::uint64_t session_id) const
 {
@@ -108,8 +97,7 @@ ShardedSessionTable::withSessionLocked(std::uint64_t session_id,
         shard.lru.push_front(session_id);
         Shard::Entry entry;
         entry.session =
-            std::make_unique<Session>(session_id,
-                                      makeSessionConfig());
+            std::make_unique<Session>(session_id, cfg.session);
         entry.lruPos = shard.lru.begin();
         it = shard.sessions.emplace(session_id, std::move(entry))
                  .first;
@@ -146,8 +134,7 @@ ShardedSessionTable::rebuildSessionLocked(std::uint64_t session_id,
         shard.lru.push_front(session_id);
         Shard::Entry entry;
         entry.session =
-            std::make_unique<Session>(session_id,
-                                      makeSessionConfig());
+            std::make_unique<Session>(session_id, cfg.session);
         entry.lruPos = shard.lru.begin();
         entry.lastActive =
             activityClock.load(std::memory_order_relaxed);
@@ -157,19 +144,10 @@ ShardedSessionTable::rebuildSessionLocked(std::uint64_t session_id,
         live.add(1);
     } else {
         it->second.session =
-            std::make_unique<Session>(session_id,
-                                      makeSessionConfig());
+            std::make_unique<Session>(session_id, cfg.session);
     }
     rebuilt.add();
     init(*it->second.session);
-}
-
-void
-ShardedSessionTable::rebuildSession(std::uint64_t session_id,
-                                    SessionFn init)
-{
-    auto lock = lockShard(shardOf(session_id));
-    rebuildSessionLocked(session_id, init);
 }
 
 void
@@ -183,8 +161,7 @@ ShardedSessionTable::installSessionLocked(std::uint64_t session_id,
         shard.lru.push_front(session_id);
         Shard::Entry entry;
         entry.session =
-            std::make_unique<Session>(session_id,
-                                      makeSessionConfig());
+            std::make_unique<Session>(session_id, cfg.session);
         entry.lruPos = shard.lru.begin();
         it = shard.sessions.emplace(session_id, std::move(entry))
                  .first;
@@ -192,8 +169,7 @@ ShardedSessionTable::installSessionLocked(std::uint64_t session_id,
         live.add(1);
     } else {
         it->second.session =
-            std::make_unique<Session>(session_id,
-                                      makeSessionConfig());
+            std::make_unique<Session>(session_id, cfg.session);
         if (it->second.lruPos != shard.lru.begin())
             shard.lru.splice(shard.lru.begin(), shard.lru,
                              it->second.lruPos);

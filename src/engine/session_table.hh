@@ -76,7 +76,8 @@ struct SessionTableStats
     std::uint64_t evicted = 0;
     /** Sessions retired by evictIdle() (idle sweep). */
     std::uint64_t idleEvicted = 0;
-    /** Poisoned sessions replaced in place (rebuildSession). */
+    /** Poisoned sessions replaced in place
+     *  (rebuildSessionLocked). */
     std::uint64_t rebuilt = 0;
     /** Session creations refused by the allocation-failure hook. */
     std::uint64_t allocFailures = 0;
@@ -123,8 +124,16 @@ class ShardedSessionTable
      */
     bool withSessionLocked(std::uint64_t session_id, SessionFn fn);
 
-    /** rebuildSession() for a caller already holding the shard
-     *  lock. */
+    /**
+     * Replace a poisoned session with a fresh one in place (same id,
+     * same LRU position; counters and predictor state are discarded).
+     * The caller must hold `session_id`'s shard lock (lockShard).
+     * `init` runs on the replacement - the engine uses it to arm
+     * re-admission backoff. Creates the session if it was not
+     * resident (eviction may have raced the rebuild). The
+     * allocation-failure hook is NOT consulted: recovery must not be
+     * starved by the fault it is recovering from.
+     */
     void rebuildSessionLocked(std::uint64_t session_id,
                               SessionFn init);
 
@@ -150,23 +159,12 @@ class ShardedSessionTable
     bool withSession(std::uint64_t session_id, SessionFn fn);
 
     /**
-     * Replace a poisoned session with a fresh one in place (same id,
-     * same LRU position; counters and predictor state are discarded).
-     * `init` runs on the replacement under the shard lock - the
-     * engine uses it to arm re-admission backoff. Creates the session
-     * if it was not resident (eviction may have raced the rebuild).
-     * The allocation-failure hook is NOT consulted: recovery must not
-     * be starved by the fault it is recovering from.
-     */
-    void rebuildSession(std::uint64_t session_id, SessionFn init);
-
-    /**
      * Replace (or create) a session with a fresh one and run `init`
      * on it under the shard lock - the migration import path: the
      * engine installs an exported snapshot via Session::importState.
-     * Identical to rebuildSession except it is not counted as a
-     * poison-recovery rebuild and refreshes the LRU position (an
-     * imported session is active, not damaged). The
+     * Identical to rebuildSessionLocked except it takes the lock, is
+     * not counted as a poison-recovery rebuild and refreshes the LRU
+     * position (an imported session is active, not damaged). The
      * allocation-failure hook is NOT consulted: migration must not be
      * starved by injected allocation faults.
      */
@@ -197,28 +195,6 @@ class ShardedSessionTable
      */
     bool mutateSession(std::uint64_t session_id, SessionFn fn);
 
-    /**
-     * Override the prediction delay given to sessions created from
-     * here on (0 restores the configured default). Existing sessions
-     * are untouched - the controller retunes them individually via
-     * mutateSession. Thread-safe (relaxed atomic: creations racing a
-     * retune pick up either delay, and the next epoch converges
-     * them).
-     */
-    void setDefaultPredictionDelay(std::uint64_t delay)
-    {
-        dynamicDelay.store(delay, std::memory_order_relaxed);
-    }
-
-    /** The delay new sessions receive right now (dynamic override or
-     *  the configured default). */
-    std::uint64_t defaultPredictionDelay() const
-    {
-        const std::uint64_t dyn =
-            dynamicDelay.load(std::memory_order_relaxed);
-        return dyn != 0 ? dyn : cfg.session.predictionDelay;
-    }
-
     /** Visit every resident session (shard by shard, under locks). */
     void forEach(ConstSessionFn fn) const;
 
@@ -231,9 +207,7 @@ class ShardedSessionTable
      * The table keeps a logical activity clock - each withSession()
      * access is one tick - so "age" is measured in how much traffic
      * the table as a whole has seen since the session was touched,
-     * not wall time; a quiet table never ages anyone out. This is the
-     * server's idle-connection sweep companion: when a connection
-     * times out, the matching predictor state goes too.
+     * not wall time; a quiet table never ages anyone out.
      */
     std::size_t evictIdle(std::uint64_t max_age);
 
@@ -265,19 +239,12 @@ class ShardedSessionTable
         std::unordered_map<std::uint64_t, Entry> sessions;
     };
 
-    /** cfg.session with the dynamic delay override applied - what
-     *  every creation site actually instantiates. */
-    SessionConfig makeSessionConfig() const;
-
     SessionTableConfig cfg;
     std::size_t perShardCap; // 0 = uncapped
     std::vector<std::unique_ptr<Shard>> shards;
     std::function<bool()> allocFailHook;
     /** Table-wide logical clock; one tick per withSession access. */
     std::atomic<std::uint64_t> activityClock{0};
-    /** Control-plane override of cfg.session.predictionDelay for new
-     *  sessions (0 = no override). */
-    std::atomic<std::uint64_t> dynamicDelay{0};
 
     // Table-wide stats (read by stats()); a named stat also bumps the
     // registry instrument of that name (telemetry/stat.hh).

@@ -7,6 +7,7 @@
 
 #include <poll.h>
 
+#include <algorithm>
 #include <chrono>
 #include <thread>
 
@@ -15,6 +16,10 @@ namespace hotpath::net
 
 namespace
 {
+
+/** Cap on the connect backoff exponent: no retry sleeps longer than
+ *  retryBaseMs * 2^6. */
+constexpr std::uint32_t kRetryMaxExponent = 6;
 
 /** SplitMix64 finalizer: the retry-jitter hash. */
 std::uint64_t
@@ -38,9 +43,7 @@ Client::connect()
         if (attempt > 0) {
             ++counters.connectRetries;
             const std::uint32_t exponent =
-                attempt - 1 < cfg.retryMaxExponent
-                    ? attempt - 1
-                    : cfg.retryMaxExponent;
+                std::min(attempt - 1, kRetryMaxExponent);
             // Equal jitter: sleep in [delay/2, delay]. Keeping at
             // least half the exponential delay preserves the worst
             // case total (a client never outlasts a slow-binding

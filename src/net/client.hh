@@ -44,12 +44,8 @@ struct ClientConfig
     std::uint32_t connectAttempts = 5;
 
     /** Backoff after the first failed attempt, in milliseconds;
-     *  doubles per retry (base * 2^attempt). */
+     *  doubles per retry (base * 2^attempt), up to base * 2^6. */
     std::uint64_t retryBaseMs = 10;
-
-    /** Cap on the backoff exponent, bounding the longest sleep at
-     *  retryBaseMs * 2^retryMaxExponent. */
-    std::uint32_t retryMaxExponent = 6;
 
     /**
      * Seed for the deterministic retry jitter. Each backoff sleeps

@@ -72,7 +72,7 @@ Server::signalDrainRequested()
 
 Server::Server(engine::Engine &engine, ServerConfig config)
     : eng(engine), cfg(std::move(config)),
-      spans(telemetry::SpanConfig{cfg.spanSampleEvery, cfg.spanTrace}),
+      spans(telemetry::SpanConfig{cfg.spanSampleEvery}),
       admin({{"/stats", "application/json",
               [this] { return statsJson(); }}},
             draining)
@@ -129,10 +129,6 @@ Server::start()
         ev.data.u64 = kWakeupId;
         ::epoll_ctl(reactor->epoll.get(), EPOLL_CTL_ADD,
                     reactor->wakeup.get(), &ev);
-        if (cfg.shedConnections) {
-            reactor->shedPolicy = std::make_unique<DegradationPolicy>(
-                cfg.degradation);
-        }
         reactors.push_back(std::move(reactor));
     }
 
@@ -622,36 +618,11 @@ Server::maintenance(Reactor &reactor, std::size_t index)
     }
     for (const std::uint64_t id : toClose)
         closeConnection(reactor, id);
-    const bool sweptIdle = !idleClose.empty();
     for (const std::uint64_t id : idleClose) {
         if (reactor.conns.find(id) == reactor.conns.end())
             continue;
         idleClosed.add();
         closeConnection(reactor, id);
-    }
-    // When the idle sweep retires connections, retire the engine
-    // sessions that went idle with them (reactor 0 only, so the
-    // sweep runs once per tick, not once per reactor).
-    if (sweptIdle && index == 0 && cfg.sessionIdleAge != 0)
-        eng.evictIdleSessions(cfg.sessionIdleAge);
-
-    // Overload shedding: sustained pauses are the pressure signal;
-    // degraded mode sheds whole paused connections oldest-first
-    // rather than letting every client stall.
-    if (reactor.shedPolicy != nullptr) {
-        const DegradationMode mode =
-            reactor.shedPolicy->onEvent(anyPaused);
-        if (mode == DegradationMode::Degraded && anyPaused) {
-            std::uint64_t victim = 0;
-            for (const auto &[id, conn] : reactor.conns) {
-                if (conn.paused && (victim == 0 || id < victim))
-                    victim = id;
-            }
-            if (victim != 0) {
-                shed.add();
-                closeConnection(reactor, victim);
-            }
-        }
     }
 
     const bool quiet = !reactor.sawReads && !anyPaused &&
@@ -872,7 +843,6 @@ Server::stats() const
     stats.accepted = accepted.get();
     stats.closed = closed.get();
     stats.idleClosed = idleClosed.get();
-    stats.shed = shed.get();
     stats.resets = resets.get();
     stats.acceptFailures = acceptFailures.get();
     stats.bytesIn = bytesIn.get();

@@ -20,10 +20,7 @@
  * trySubmitShared returns Backpressure and the reactor *stops reading that
  * socket* (the frame is parked, the kernel receive buffer fills, TCP
  * flow control pushes back to the client). Parked connections are
- * retried every maintenance tick. When connection shedding is
- * enabled, sustained pauses feed a DegradationPolicy (the Dynamo
- * flush-on-spike heuristic) and degraded mode sheds whole paused
- * connections oldest-first instead of stalling the reactor.
+ * retried every maintenance tick.
  *
  * Response path: the engine's completion callback encodes each
  * decoded frame's predictions as a FrameKind::Predictions frame and
@@ -53,7 +50,6 @@
 #include <utility>
 #include <vector>
 
-#include "dynamo/flush.hh"
 #include "engine/engine.hh"
 #include "net/admin_endpoint.hh"
 #include "net/framed_conn.hh"
@@ -108,21 +104,6 @@ struct ServerConfig
      */
     std::uint64_t idleTimeoutTicks = 0;
 
-    /**
-     * When an idle sweep closes connections, also retire engine
-     * sessions idle for more than this many table activity ticks
-     * (Engine::evictIdleSessions); 0 = leave sessions resident.
-     */
-    std::uint64_t sessionIdleAge = 0;
-
-    /** Enable overload connection shedding: sustained backpressure
-     *  pauses flip a per-reactor DegradationPolicy into degraded
-     *  mode, which sheds paused connections oldest-first. */
-    bool shedConnections = false;
-
-    /** Spike detector tuning for connection shedding. */
-    DegradationPolicyConfig degradation;
-
     /** Deterministic fault plan for the socket-level sites
      *  (SockPartialWrite, ConnReset, AcceptFail). */
     fault::FaultPlan faults;
@@ -144,9 +125,6 @@ struct ServerConfig
     /** Sample every Nth inbound frame for pipeline stage spans at
      *  the socket-read boundary (telemetry/span.hh); 0 = off. */
     std::uint64_t spanSampleEvery = 0;
-
-    /** Emit sampled stages as StageSpan trace records too. */
-    bool spanTrace = false;
 };
 
 /** Aggregate serving counters (mirrored in net.* telemetry). */
@@ -158,8 +136,6 @@ struct NetStats
     std::uint64_t closed = 0;
     /** Connections closed by the idle sweep. */
     std::uint64_t idleClosed = 0;
-    /** Connections shed by overload degradation. */
-    std::uint64_t shed = 0;
     /** Connections dropped by an injected reset. */
     std::uint64_t resets = 0;
     /** Accepts refused (injected or real accept failure). */
@@ -313,7 +289,6 @@ class Server
         std::thread thread;
         std::size_t index = 0;
         std::unordered_map<std::uint64_t, Connection> conns;
-        std::unique_ptr<DegradationPolicy> shedPolicy;
         std::uint64_t tick = 0;
         /** Reads seen since the last maintenance pass
          *  (reactor-thread-only; feeds quiet detection). */
@@ -397,7 +372,6 @@ class Server
     telemetry::CounterStat accepted{"net.connections.accepted"};
     telemetry::CounterStat closed{"net.connections.closed"};
     telemetry::CounterStat idleClosed{"net.connections.idle.closed"};
-    telemetry::CounterStat shed{"net.connections.shed"};
     telemetry::CounterStat resets{"net.connections.reset"};
     telemetry::CounterStat acceptFailures{"net.accept.failures"};
     telemetry::CounterStat bytesIn{"net.bytes.in"};

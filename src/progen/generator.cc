@@ -78,10 +78,13 @@ class ProcEmitter
         for (std::size_t i = 0; i < totalProcs; ++i) {
             // Each call block continues directly at the next one; the
             // last continues at the latch.
-            const std::string call_block = "c" + std::to_string(i);
-            const std::string after =
-                i + 1 < totalProcs ? "c" + std::to_string(i + 1)
-                                   : "dlatch";
+            std::string call_block = "c";
+            call_block += std::to_string(i);
+            std::string after = "dlatch";
+            if (i + 1 < totalProcs) {
+                after = "c";
+                after += std::to_string(i + 1);
+            }
             proc.block(call_block, instrs())
                 .call("fn" + std::to_string(i), after);
         }
@@ -134,8 +137,10 @@ class ProcEmitter
     emitLoop(const std::string &come_from, std::size_t index,
              std::size_t depth)
     {
-        const std::string tag =
-            "l" + std::to_string(index) + "d" + std::to_string(depth);
+        std::string tag = "l";
+        tag += std::to_string(index);
+        tag += 'd';
+        tag += std::to_string(depth);
         const std::string head = tag + "_head";
         resolve(come_from, head);
         open(head);

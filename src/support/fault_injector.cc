@@ -77,8 +77,6 @@ draw(std::uint64_t seed, Site site, std::uint64_t opportunity)
 bool
 FaultInjector::shouldInject(Site site, std::uint64_t *aux)
 {
-    if (!kCompiledIn)
-        return false;
     const SitePlan &plan = cfg.site(site);
     if (!plan.armed())
         return false;

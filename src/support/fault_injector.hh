@@ -12,11 +12,10 @@
  * property tests/fault_injection_test.cc asserts and the
  * ext_fault_resilience bench relies on for reproducible tables.
  *
- * Cost model: a site that is not armed is one predictable branch per
- * opportunity. Components hold a FaultInjector pointer that is null
- * in production (mirroring the telemetry pattern), and when the
- * HOTPATH_FAULT_INJECTION CMake option is OFF, shouldInject() compiles
- * to `return false` so the whole apparatus folds away.
+ * Cost model: components hold a FaultInjector pointer that is null
+ * unless a plan arms a site (mirroring the telemetry pattern), so an
+ * unarmed run pays one null test per injection point, and a site that
+ * is not armed is one predictable branch per opportunity.
  */
 
 #ifndef HOTPATH_SUPPORT_FAULT_INJECTOR_HH
@@ -33,14 +32,6 @@ namespace hotpath
 /** Deterministic fault injection (see fault_injector.hh). */
 namespace fault
 {
-
-/** True when fault injection is compiled in (the default); the
- *  HOTPATH_FAULT_INJECTION=OFF build folds every site to a no-op. */
-#ifdef HOTPATH_NO_FAULT_INJECTION
-inline constexpr bool kCompiledIn = false;
-#else
-inline constexpr bool kCompiledIn = true;
-#endif
 
 /** Where a fault can be injected. */
 enum class Site : std::size_t
@@ -148,7 +139,7 @@ class FaultInjector
     bool
     armed(Site site) const
     {
-        return kCompiledIn && cfg.site(site).armed();
+        return cfg.site(site).armed();
     }
 
     /**

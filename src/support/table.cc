@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <iomanip>
 #include <sstream>
+#include <utility>
 
 #include "support/logging.hh"
 
@@ -44,8 +45,9 @@ void
 TextTable::addCell(std::int64_t value)
 {
     if (value < 0) {
-        addCell("-" +
-                formatWithCommas(static_cast<std::uint64_t>(-value)));
+        std::string cell = "-";
+        cell += formatWithCommas(static_cast<std::uint64_t>(-value));
+        addCell(std::move(cell));
     } else {
         addCell(formatWithCommas(static_cast<std::uint64_t>(value)));
     }

@@ -56,11 +56,6 @@ SpanRecorder::recordStage(Stage stage, std::uint64_t ns)
     }
     if (registryHists[index])
         registryHists[index]->record(ns);
-    if (cfg.emitTrace)
-        emit(TraceEventKind::StageSpan, "net.span",
-             {{"stage", static_cast<std::uint64_t>(stage)},
-              {"duration_ns", ns}},
-             stageName(stage));
 }
 
 StageTotals

@@ -9,8 +9,7 @@
  * predict, encode, write-flush. Sampled durations feed internal
  * per-stage log2 bucket accumulators (always, so conservation checks
  * and /stats work without a registry), mirrored into `net.stage.*`
- * registry histograms when telemetry is attached, and optionally
- * emitted as StageSpan trace records.
+ * registry histograms when telemetry is attached.
  *
  * Cost model: with sampling disabled (sampleEvery == 0) the whole
  * apparatus is one branch in sampleFrame() and nothing else - no
@@ -72,10 +71,6 @@ struct SpanConfig
     /** Sample every Nth frame; 0 disables sampling entirely (the
      *  disabled path is a single branch). */
     std::uint64_t sampleEvery = 0;
-
-    /** Also emit each sampled stage as a StageSpan trace record
-     *  (JSONL when a trace sink is attached). */
-    bool emitTrace = false;
 };
 
 /** One stage's aggregate over all sampled frames so far. */

@@ -28,8 +28,6 @@ traceEventName(TraceEventKind kind)
         return "phase_change";
       case TraceEventKind::Log:
         return "log";
-      case TraceEventKind::StageSpan:
-        return "stage_span";
     }
     return "unknown";
 }

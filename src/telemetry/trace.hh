@@ -39,7 +39,6 @@ enum class TraceEventKind : std::uint8_t
     BailOut,        // Dynamo handed control back to native code
     PhaseChange,    // the prediction-rate monitor fired
     Log,            // a warn()/inform() message (captured)
-    StageSpan,      // a sampled pipeline-stage duration (span.hh)
 };
 
 /** Stable wire name for a kind ("fragment_insert", ...). */

@@ -169,16 +169,12 @@ testRouterConfig(const Fleet &fleet)
     return config;
 }
 
-/** A ring mirroring the router's (same seed, same points), used to
- *  predict which backend owns which session. */
+/** A ring mirroring the router's (the default seed and points),
+ *  used to predict which backend owns which session. */
 cluster::HashRing
-mirrorRing(const cluster::RouterConfig &cfg,
-           std::initializer_list<std::uint64_t> ids)
+mirrorRing(std::initializer_list<std::uint64_t> ids)
 {
-    cluster::HashRingConfig ringCfg;
-    ringCfg.virtualNodes = cfg.virtualNodes;
-    ringCfg.seed = cfg.ringSeed;
-    cluster::HashRing ring(ringCfg);
+    cluster::HashRing ring(cluster::HashRingConfig{});
     for (std::uint64_t id : ids)
         ring.addNode(id);
     return ring;
@@ -701,8 +697,8 @@ TEST(ClusterRouter, ScaleUpMigratesPredictorHistory)
         router.addBackend({"127.0.0.1", lateServer.port()});
     EXPECT_EQ(newId, 2u);
 
-    const cluster::HashRing before = mirrorRing(cfg, {0, 1});
-    const cluster::HashRing after = mirrorRing(cfg, {0, 1, 2});
+    const cluster::HashRing before = mirrorRing({0, 1});
+    const cluster::HashRing after = mirrorRing({0, 1, 2});
     std::size_t expectedMoved = 0;
     for (std::uint64_t session = 1; session <= kSessions; ++session)
         if (before.ownerOf(session) != after.ownerOf(session))
@@ -797,8 +793,8 @@ TEST(ClusterRouter, RemoveBackendDrainsSessionsToSurvivors)
     std::vector<net::PredictionReply> replies;
     ASSERT_TRUE(client.awaitResponses(sent, replies));
 
-    const cluster::HashRing before = mirrorRing(cfg, {0, 1, 2});
-    const cluster::HashRing after = mirrorRing(cfg, {0, 2});
+    const cluster::HashRing before = mirrorRing({0, 1, 2});
+    const cluster::HashRing after = mirrorRing({0, 2});
     std::size_t expectedMoved = 0;
     for (std::uint64_t session = 1; session <= kSessions; ++session)
         if (before.ownerOf(session) == 1)
@@ -909,7 +905,7 @@ TEST(ClusterRouter, FailoverAnswersEveryFrameExactlyOnce)
     // Kill the backend that owns session 1. Its sessions lose their
     // history (nobody left to export from); everyone else's must
     // stay byte-identical.
-    const cluster::HashRing ring = mirrorRing(cfg, {0, 1, 2});
+    const cluster::HashRing ring = mirrorRing({0, 1, 2});
     const std::uint64_t victim = ring.ownerOf(1);
     fleet.servers[victim]->stop();
 

@@ -9,9 +9,12 @@
  * file under ThreadSanitizer).
  */
 
+#include <atomic>
 #include <cstdint>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,6 +22,7 @@
 #include "control/classifier.hh"
 #include "control/controller.hh"
 #include "engine/engine.hh"
+#include "engine/wire_format.hh"
 #include "progen/adversarial.hh"
 
 using namespace hotpath;
@@ -275,6 +279,66 @@ TEST(Controller, ShedHysteresisDrivesForcedShedding)
     EXPECT_EQ(stats.shedReleased, 1u);
     EXPECT_FALSE(stats.shedActive);
     EXPECT_EQ(stats.lastPressurePermille, 299u);
+}
+
+TEST(Controller, PressureIsMeasuredAgainstTheEnginesQueueCapacity)
+{
+    // An 8-frame ring filled behind a worker held in frame 0's
+    // callback is at 1000 permille of its engine's capacity, so one
+    // measured epoch must engage shedding. (Against a fixed 256-frame
+    // capacity the same 8 frames read 31 permille.)
+    engine::EngineConfig cfg = controlEngineConfig(1, 64);
+    cfg.queueCapacityFrames = 8;
+    engine::Engine eng(cfg);
+    Controller ctl(eng);
+
+    std::atomic<bool> started{false};
+    std::atomic<bool> release{false};
+    eng.setFrameCallback([&](const engine::FrameOutcome &outcome) {
+        if (outcome.sequence != 0)
+            return;
+        started.store(true, std::memory_order_release);
+        while (!release.load(std::memory_order_acquire))
+            std::this_thread::yield();
+    });
+
+    AdversarialConfig wcfg;
+    AdversarialStream stream(AdversarialKind::HeadChurn, wcfg);
+    std::vector<PathEvent> events;
+    std::vector<std::uint8_t> concat;
+    std::vector<std::size_t> offsets;
+    for (std::uint64_t seq = 0; seq <= 8; ++seq) {
+        events.clear();
+        for (int i = 0; i < 16; ++i)
+            events.push_back(stream.next());
+        offsets.push_back(concat.size());
+        wire::appendEventFrame(concat, 5, seq, events);
+    }
+    offsets.push_back(concat.size());
+    const auto shared =
+        std::make_shared<const std::vector<std::uint8_t>>(
+            std::move(concat));
+    const auto submit = [&](std::size_t f) {
+        return eng.trySubmitShared(shared, offsets[f],
+                                   offsets[f + 1] - offsets[f], 0, 0,
+                                   /*may_run_inline=*/false);
+    };
+    ASSERT_EQ(submit(0), engine::SubmitStatus::Accepted);
+    while (!started.load(std::memory_order_acquire))
+        std::this_thread::yield();
+    for (std::size_t f = 1; f <= 8; ++f)
+        EXPECT_EQ(submit(f), engine::SubmitStatus::Accepted)
+            << "frame " << f;
+
+    ctl.step();
+    release.store(true, std::memory_order_release);
+    eng.drain();
+
+    const ControlStats stats = ctl.stats();
+    EXPECT_EQ(stats.lastPressurePermille, 1000u);
+    EXPECT_EQ(stats.shedEngaged, 1u);
+    EXPECT_TRUE(eng.forcedShedding());
+    eng.shutdown();
 }
 
 TEST(Controller, AppendStatsEmitsFlatJsonFragments)

@@ -180,9 +180,11 @@ TEST(NetTraceBuilderTest, LengthCapTruncatesCollection)
     main.block("entry", 1).fallthrough("head");
     main.block("head", 1).fallthrough("c0");
     for (int i = 0; i < 12; ++i) {
-        main.block("c" + std::to_string(i), 1)
-            .fallthrough(i == 11 ? "latch"
-                                 : "c" + std::to_string(i + 1));
+        std::string block = "c";
+        block += std::to_string(i);
+        std::string next = "c";
+        next += std::to_string(i + 1);
+        main.block(block, 1).fallthrough(i == 11 ? "latch" : next);
     }
     main.block("latch", 1).cond("head", "exit");
     main.block("exit", 1).ret();

@@ -100,7 +100,6 @@ goldenInstruments()
         "net.connections.accepted",
         "net.connections.closed",
         "net.connections.idle.closed",
-        "net.connections.shed",
         "net.connections.reset",
         "net.connections.active",
         "net.accept.failures",
@@ -521,7 +520,6 @@ TEST(ObservabilityStats, EveryInstrumentedScalarMatchesItsInstrument)
             {"net.connections.accepted", ns.accepted},
             {"net.connections.closed", ns.closed},
             {"net.connections.idle.closed", ns.idleClosed},
-            {"net.connections.shed", ns.shed},
             {"net.connections.reset", ns.resets},
             {"net.accept.failures", ns.acceptFailures},
             {"net.bytes.in", ns.bytesIn},
