@@ -82,9 +82,6 @@ class HashRing
     /** True when no nodes are on the ring. */
     bool empty() const { return members.empty(); }
 
-    /** Number of member nodes. */
-    std::size_t nodeCount() const { return members.size(); }
-
     /** The node owning `key`. The ring must not be empty. */
     std::uint64_t ownerOf(std::uint64_t key) const;
 

@@ -2,7 +2,7 @@
  * @file
  * The cluster routing tier: one frontend process that consistent-
  * hashes sessions onto a fleet of net::Server backends, speaking the
- * hotpath_wire frame format on both sides.
+ * wire format on both sides.
  *
  * Threading model: one router thread runs a ::poll loop over the
  * frontend listener, every client connection, every backend

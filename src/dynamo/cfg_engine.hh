@@ -183,9 +183,6 @@ class CfgDynamoEngine : public DispatchHook
     /** Accounting snapshot (cache occupancy sampled now). */
     CfgEngineReport report() const;
 
-    /** Fragments currently resident in the code cache. */
-    std::size_t fragmentCount() const { return cache.size(); }
-
     /** The managed code cache (link-graph inspection in tests). */
     const CodeCache &codeCache() const { return cache; }
 

@@ -24,7 +24,6 @@ PredictionRateMonitor::onEvent(bool was_prediction)
     const auto count = static_cast<double>(predictionsInWindow);
     eventsInWindow = 0;
     predictionsInWindow = 0;
-    ++windows;
 
     if (cooldownLeft > 0) {
         // Startup or post-flush refill: neither a spike nor a
@@ -69,7 +68,6 @@ DegradationPolicy::onEvent(bool pressure)
     const auto count = static_cast<double>(pressureInWindow);
     eventsInWindow = 0;
     pressureInWindow = 0;
-    ++windows;
 
     if (state == DegradationMode::Degraded) {
         // Sustained pressure re-arms the stay; quiet windows count

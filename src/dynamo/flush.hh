@@ -56,17 +56,10 @@ class PredictionRateMonitor
      */
     void settle();
 
-    /** Moving average of predictions per window. */
-    double movingAverage() const { return average; }
-
-    /** Completed windows observed. */
-    std::uint64_t windowsSeen() const { return windows; }
-
   private:
     FlushHeuristicConfig cfg;
     std::uint64_t eventsInWindow = 0;
     std::uint64_t predictionsInWindow = 0;
-    std::uint64_t windows = 0;
     std::uint64_t cooldownLeft;
     double average = 0.0;
 };
@@ -132,17 +125,10 @@ class DegradationPolicy
     /** Times the policy switched Normal -> Degraded. */
     std::uint64_t degradedEntries() const { return entries; }
 
-    /** Completed windows observed. */
-    std::uint64_t windowsSeen() const { return windows; }
-
-    /** Moving average of pressure signals per window. */
-    double movingAverage() const { return average; }
-
   private:
     DegradationPolicyConfig cfg;
     std::uint64_t eventsInWindow = 0;
     std::uint64_t pressureInWindow = 0;
-    std::uint64_t windows = 0;
     std::uint64_t cooldownLeft;
     std::uint64_t degradedLeft = 0;
     std::uint64_t entries = 0;

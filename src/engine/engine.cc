@@ -538,32 +538,6 @@ Engine::submitEvents(std::uint64_t session, std::uint64_t sequence,
     return submit(std::move(frame));
 }
 
-std::uint64_t
-Engine::submitBuffer(const std::uint8_t *data, std::size_t size)
-{
-    std::uint64_t routed = 0;
-    std::size_t offset = 0;
-    wire::FrameHeader header;
-    while (offset < size) {
-        std::size_t frame_end = 0;
-        const wire::DecodeStatus status = wire::peekFrameHeader(
-            data, size, offset, header, frame_end);
-        if (status == wire::DecodeStatus::Ok) {
-            submit(std::vector<std::uint8_t>(data + offset,
-                                             data + frame_end));
-            ++routed;
-            offset = frame_end;
-            continue;
-        }
-        // Quarantine the unparseable region as one lost frame and
-        // resync at the next CRC-valid frame boundary.
-        framesSubmitted.fetch_add(1, std::memory_order_relaxed);
-        countReject(status);
-        offset = wire::findNextFrame(data, size, offset + 1);
-    }
-    return routed;
-}
-
 void
 Engine::flushDelayed(bool all)
 {

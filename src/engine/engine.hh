@@ -560,18 +560,6 @@ class Engine
     bool submitEvents(std::uint64_t session, std::uint64_t sequence,
                       const PathEvent *events, std::size_t count);
 
-    /**
-     * Ingest a buffer of consecutive frames. Frames that parse are
-     * routed individually; a region that does not parse is
-     * quarantined and ingestion resyncs at the next CRC-valid frame
-     * boundary (wire::findNextFrame) instead of abandoning the rest
-     * of the buffer. Returns the number of frames routed. (Frames
-     * are copied out of the caller's transient buffer; producers
-     * that control the buffer lifetime should use submitShared.)
-     */
-    std::uint64_t submitBuffer(const std::uint8_t *data,
-                               std::size_t size);
-
     /** Block until every queued, delayed or inline-running frame
      *  has been fully processed. Not from a completion callback. */
     void drain();
@@ -590,7 +578,9 @@ class Engine
         return cfg.queueCapacityFrames;
     }
 
-    /** Aggregate accounting (takes the stripe locks briefly). */
+    /** Aggregate accounting from relaxed atomic reads; takes no
+     *  stripe lock (only each DropOldest shard's shed lock, to read
+     *  its degradation count). */
     EngineStats stats() const;
 
     /** Read-only access to a resident session (false if absent). */
@@ -801,7 +791,7 @@ class Engine
                              std::unique_lock<std::mutex> &shard_lock);
 
     /** Post-injection routing shared by submit(), submitShared(),
-     *  trySubmitShared(), submitBuffer() and delayed redelivery:
+     *  trySubmitShared() and delayed redelivery:
      *  header peek, reject, then inline or enqueue. On Backpressure
      *  (nonblocking callers only) `frame` is left intact. `span_ns`
      *  as in processFrame(); `may_run_inline` as in

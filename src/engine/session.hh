@@ -171,9 +171,6 @@ class Session
     /** True while re-admission backoff is still dropping frames. */
     bool inBackoff() const { return backoffLeft > 0; }
 
-    /** Decoded frames still to be dropped before re-admission. */
-    std::uint64_t backoffRemaining() const { return backoffLeft; }
-
     /**
      * Consume one backoff slot for an arriving decoded frame.
      * Returns true when the frame must be dropped (backoff was

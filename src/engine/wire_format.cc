@@ -4,7 +4,6 @@
 #include <array>
 #include <bit>
 
-#include "sim/trace_log.hh"
 #include "support/logging.hh"
 
 namespace hotpath::wire
@@ -254,7 +253,6 @@ parseHeader(const std::uint8_t *data, std::size_t size,
         return DecodeStatus::Truncated;
     const std::uint8_t kind = data[cur++];
     if (kind != static_cast<std::uint8_t>(FrameKind::PathEvents) &&
-        kind != static_cast<std::uint8_t>(FrameKind::BlockTrace) &&
         kind != static_cast<std::uint8_t>(FrameKind::Predictions) &&
         kind != static_cast<std::uint8_t>(FrameKind::SessionState))
         return DecodeStatus::BadKind;
@@ -463,24 +461,6 @@ appendEventFrame(std::vector<std::uint8_t> &out, std::uint64_t session,
 }
 
 void
-appendBlockFrame(std::vector<std::uint8_t> &out, std::uint64_t session,
-                 std::uint64_t sequence, const BlockId *blocks,
-                 std::size_t count)
-{
-    HOTPATH_ASSERT(count <= kMaxFrameEvents,
-                   "block frame exceeds kMaxFrameEvents");
-    const auto values = [blocks, count](auto &&sink) {
-        BlockId prev = 0;
-        for (std::size_t i = 0; i < count; ++i) {
-            sink(zigzagDelta(prev, blocks[i]));
-            prev = blocks[i];
-        }
-    };
-    appendFrame(out, FrameKind::BlockTrace, session, sequence, count,
-                payloadBytes(values), values);
-}
-
-void
 appendPredictionFrame(std::vector<std::uint8_t> &out,
                       std::uint64_t session, std::uint64_t sequence,
                       const PredictionRecord *records,
@@ -632,7 +612,6 @@ decodeFrame(const std::uint8_t *data, std::size_t size,
         return DecodeStatus::BadCrc;
 
     out.events.clear();
-    out.blocks.clear();
     out.predictions.clear();
     out.state = SessionState{};
     std::size_t cur = payload_begin;
@@ -655,7 +634,7 @@ decodeFrame(const std::uint8_t *data, std::size_t size,
                     return DecodeStatus::BadPayload;
                 out.predictions[i] = prev;
             }
-        } else if (out.header.kind == FrameKind::PathEvents) {
+        } else {
             out.events.resize(count);
             PathEvent prev;
             prev.path = 0;
@@ -669,14 +648,6 @@ decodeFrame(const std::uint8_t *data, std::size_t size,
                     return DecodeStatus::BadPayload;
                 out.events[i] = prev;
             }
-        } else {
-            out.blocks.resize(count);
-            BlockId prev = 0;
-            for (std::uint64_t i = 0; i < count; ++i) {
-                if (!readDelta32(p, pend, prev))
-                    return DecodeStatus::BadPayload;
-                out.blocks[i] = prev;
-            }
         }
         cur = static_cast<std::size_t>(p - data);
     }
@@ -684,19 +655,6 @@ decodeFrame(const std::uint8_t *data, std::size_t size,
         return DecodeStatus::BadPayload; // trailing junk in payload
     offset = frame_end;
     return DecodeStatus::Ok;
-}
-
-std::size_t
-findNextFrame(const std::uint8_t *data, std::size_t size,
-              std::size_t from)
-{
-    // A whole buffer has no more bytes coming, so a candidate it cuts
-    // short is garbage too: step past it and keep looking.
-    bool complete = false;
-    std::size_t at = findFrameBoundary(data, size, from, &complete);
-    while (!complete && at < size)
-        at = findFrameBoundary(data, size, at + 1, &complete);
-    return at;
 }
 
 std::size_t
@@ -739,78 +697,6 @@ findFrameBoundary(const std::uint8_t *data, std::size_t size,
     }
     *complete = false;
     return size;
-}
-
-std::vector<std::uint8_t>
-encodeTraceLog(const TraceLog &log, std::uint64_t session,
-               std::size_t frame_events)
-{
-    HOTPATH_ASSERT(frame_events >= 1 &&
-                       frame_events <= kMaxFrameEvents,
-                   "invalid frame_events");
-    const std::vector<BlockId> &seq = log.sequence();
-    std::vector<std::uint8_t> out;
-    std::uint64_t sequence = 0;
-    std::size_t i = 0;
-    do {
-        const std::size_t n = std::min(frame_events, seq.size() - i);
-        appendBlockFrame(out, session, sequence++, seq.data() + i, n);
-        i += n;
-    } while (i < seq.size());
-    return out;
-}
-
-DecodeStatus
-decodeTraceLog(const std::uint8_t *data, std::size_t size,
-               TraceLog &out)
-{
-    std::size_t offset = 0;
-    DecodedFrame frame;
-    while (offset < size) {
-        const DecodeStatus status =
-            decodeFrame(data, size, offset, frame);
-        if (status != DecodeStatus::Ok)
-            return status;
-        if (frame.header.kind != FrameKind::BlockTrace)
-            return DecodeStatus::BadKind;
-        out.appendAll(frame.blocks);
-    }
-    return DecodeStatus::Ok;
-}
-
-std::uint64_t
-decodeTraceLogResilient(const std::uint8_t *data, std::size_t size,
-                        TraceLog &out, ResyncStats *stats)
-{
-    ResyncStats local;
-    std::size_t offset = 0;
-    DecodedFrame frame;
-    while (offset < size) {
-        const std::size_t at = offset;
-        const DecodeStatus status =
-            decodeFrame(data, size, offset, frame);
-        if (status == DecodeStatus::Ok) {
-            if (frame.header.kind == FrameKind::BlockTrace) {
-                out.appendAll(frame.blocks);
-                ++local.framesDecoded;
-            } else {
-                // Valid frame of a foreign kind: quarantine it whole
-                // (decodeFrame already advanced past it).
-                ++local.framesQuarantined;
-                local.bytesSkipped += offset - at;
-            }
-            continue;
-        }
-        // Quarantine: skip at least one byte, then resync at the
-        // next frame whose CRC checks out.
-        ++local.framesQuarantined;
-        const std::size_t next = findNextFrame(data, size, at + 1);
-        local.bytesSkipped += next - at;
-        offset = next;
-    }
-    if (stats != nullptr)
-        *stats = local;
-    return local.framesDecoded;
 }
 
 } // namespace hotpath::wire

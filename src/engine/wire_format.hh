@@ -6,8 +6,9 @@
  * A *frame* carries one batch of events for one session:
  *
  *   magic      2 bytes   'H' 'F'
- *   kind       1 byte    1 = path events, 2 = block trace,
- *                        3 = prediction replies, 4 = session state
+ *   kind       1 byte    1 = path events, 3 = prediction replies,
+ *                        4 = session state (every other value is
+ *                        rejected as BadKind)
  *   session    varint    client/session identifier
  *   sequence   varint    per-session frame sequence number
  *   count      varint    events in the payload
@@ -19,8 +20,7 @@
  * negative jumps stay small on the wire. Path-event payloads encode
  * each field as a delta against the previous event in the frame
  * (loop bursts repeat the same path, so a burst costs 5 bytes per
- * event); block-trace payloads encode consecutive block ids as
- * deltas - the software analogue of PC-delta branch-trace formats.
+ * event).
  *
  * Decoding is defensive, not trusting: every malformed input maps to
  * a DecodeStatus instead of a panic, because frames arrive from
@@ -35,13 +35,10 @@
 #include <cstdint>
 #include <vector>
 
-#include "cfg/types.hh"
 #include "paths/path_event.hh"
 
 namespace hotpath
 {
-
-class TraceLog;
 
 /** The CRC-framed varint wire format; see the file comment. */
 namespace wire
@@ -52,8 +49,6 @@ enum class FrameKind : std::uint8_t
 {
     /** Delta-encoded PathEvent batch. */
     PathEvents = 1,
-    /** Delta-encoded basic-block id trace. */
-    BlockTrace = 2,
     /** Delta-encoded prediction records (server -> client replies). */
     Predictions = 3,
     /** Serialized per-session predictor state (migration traffic). */
@@ -182,8 +177,6 @@ struct DecodedFrame
     FrameHeader header;
     /** Payload for FrameKind::PathEvents. */
     std::vector<PathEvent> events;
-    /** Payload for FrameKind::BlockTrace. */
-    std::vector<BlockId> blocks;
     /** Payload for FrameKind::Predictions. */
     std::vector<PredictionRecord> predictions;
     /** Payload for FrameKind::SessionState. */
@@ -228,11 +221,6 @@ void appendEventFrame(std::vector<std::uint8_t> &out,
                       std::uint64_t session, std::uint64_t sequence,
                       const std::vector<PathEvent> &events);
 
-/** Append one block-trace frame for `session` to `out`. */
-void appendBlockFrame(std::vector<std::uint8_t> &out,
-                      std::uint64_t session, std::uint64_t sequence,
-                      const BlockId *blocks, std::size_t count);
-
 /**
  * Append one prediction-reply frame for `session` to `out`. The
  * sequence echoes the event frame the predictions came from, so a
@@ -260,9 +248,9 @@ void appendSessionStateFrame(std::vector<std::uint8_t> &out,
 
 /**
  * Encode a whole event stream as consecutive frames (sequence 0..n)
- * of at most `frame_events` events each. This is the one on-disk /
- * on-wire event encoding; workload/stream_io delegates to it. The
- * buffer is sized exactly once, so encoding is linear in the stream.
+ * of at most `frame_events` events each, with the same bytes
+ * appendEventFrame() writes frame by frame. The buffer is sized
+ * exactly once, so encoding is linear in the stream.
  */
 std::vector<std::uint8_t>
 encodeEventStream(const std::vector<PathEvent> &stream,
@@ -293,71 +281,20 @@ DecodeStatus decodeFrame(const std::uint8_t *data, std::size_t size,
 // Corruption recovery ----------------------------------------------
 
 /**
- * Scan forward from `from` for the next offset at which a complete,
- * CRC-valid frame begins (magic, parseable header, matching CRC).
- * Returns `size` when no such frame exists. This is the resync
- * primitive: after a corrupt frame, skip to the next trustworthy
- * frame boundary instead of abandoning the rest of the buffer. A
- * candidate magic inside a corrupt region is rejected unless the
- * whole frame it claims checks out, so resync cannot fabricate
- * events from garbage.
- */
-std::size_t findNextFrame(const std::uint8_t *data, std::size_t size,
-                          std::size_t from);
-
-/**
- * Streaming variant of findNextFrame for socket reassembly buffers,
- * where the last frame is usually still arriving. Scans forward from
- * `from` for the next offset holding either a complete CRC-valid
- * frame (`*complete = true`) or a plausible frame cut short by the
- * end of the buffer (`*complete = false`: keep those bytes and retry
- * after the next read). Returns `size` with `*complete = false` when
- * everything up to the end is garbage and can be discarded.
+ * The resync primitive, for buffers whose last frame may still be
+ * arriving (socket reassembly). Scans forward from `from` for the
+ * next offset holding either a complete CRC-valid frame (magic,
+ * parseable header, matching CRC; `*complete = true`) or a plausible
+ * frame cut short by the end of the buffer (`*complete = false`:
+ * keep those bytes and retry after the next read). Returns `size`
+ * with `*complete = false` when everything up to the end is garbage
+ * and can be discarded. A candidate magic inside a corrupt region is
+ * rejected unless the whole frame it claims checks out, so resync
+ * cannot fabricate events from garbage.
  */
 std::size_t findFrameBoundary(const std::uint8_t *data,
                               std::size_t size, std::size_t from,
                               bool *complete);
-
-/** What a resilient multi-frame decode survived. */
-struct ResyncStats
-{
-    /** Frames decoded and delivered. */
-    std::uint64_t framesDecoded = 0;
-    /** Corrupt frames quarantined (skipped after a failed decode). */
-    std::uint64_t framesQuarantined = 0;
-    /** Bytes discarded while scanning for the next valid frame. */
-    std::uint64_t bytesSkipped = 0;
-};
-
-// sim::TraceLog round trip -----------------------------------------
-
-/**
- * Encode a recorded execution trace as block-trace frames (the
- * "export a native run, serve it later" path).
- */
-std::vector<std::uint8_t> encodeTraceLog(const TraceLog &log,
-                                         std::uint64_t session,
-                                         std::size_t frame_events = 4096);
-
-/**
- * Decode consecutive block-trace frames back into `out` (appending,
- * in frame order). Stops at the first malformed frame and returns
- * its status; Ok means the whole buffer decoded.
- */
-DecodeStatus decodeTraceLog(const std::uint8_t *data,
-                            std::size_t size, TraceLog &out);
-
-/**
- * Like decodeTraceLog, but a malformed frame is quarantined and the
- * decode resyncs at the next CRC-valid frame boundary
- * (findNextFrame) instead of stopping. Appends every decodable
- * frame's blocks to `out` in buffer order; `stats` (optional)
- * receives the damage accounting. Returns the number of frames
- * delivered.
- */
-std::uint64_t decodeTraceLogResilient(const std::uint8_t *data,
-                                      std::size_t size, TraceLog &out,
-                                      ResyncStats *stats = nullptr);
 
 } // namespace wire
 } // namespace hotpath

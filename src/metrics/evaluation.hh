@@ -77,12 +77,6 @@ struct EvalResult
                   static_cast<double>(totalFlow);
     }
 
-    double
-    predictedFlowPercent() const
-    {
-        return 100.0 - profiledFlowPercent();
-    }
-
     /**
      * The paper's closed-form Hits(P) = freq(P ^ Hot) - |P ^ Hot| *
      * tau, reconstructed from the measured quantities (freq of the

@@ -99,22 +99,6 @@ int
 Client::poll(std::vector<PredictionReply> &replies,
              std::uint64_t timeout_ms)
 {
-    // Replies a call() absorbed while waiting for its own match are
-    // delivered first, in arrival order.
-    if (!stash.empty()) {
-        const int held = static_cast<int>(stash.size());
-        for (auto &reply : stash)
-            replies.push_back(std::move(reply));
-        stash.clear();
-        return held;
-    }
-    return pollSocket(replies, timeout_ms);
-}
-
-int
-Client::pollSocket(std::vector<PredictionReply> &replies,
-                   std::uint64_t timeout_ms)
-{
     // Each poll scans all it read, so only an incomplete tail waits.
     if (!conn.open())
         return -1;
@@ -198,51 +182,6 @@ Client::awaitResponses(std::size_t count,
         received += static_cast<std::size_t>(got);
     }
     return true;
-}
-
-bool
-Client::call(std::uint64_t session, std::uint64_t sequence,
-             const PathEvent *events, std::size_t count,
-             PredictionReply &reply)
-{
-    if (!sendEvents(session, sequence, events, count))
-        return false;
-
-    using Clock = std::chrono::steady_clock;
-    const auto deadline =
-        Clock::now() +
-        std::chrono::milliseconds(cfg.responseTimeoutMs);
-    std::vector<PredictionReply> batch;
-    while (Clock::now() < deadline) {
-        const auto leftMs =
-            std::chrono::duration_cast<std::chrono::milliseconds>(
-                deadline - Clock::now())
-                .count();
-        batch.clear();
-        // Read the socket directly: serving the stash here would
-        // hand back the replies this loop just stashed and spin
-        // without ever reaching ours.
-        const int got = pollSocket(
-            batch,
-            static_cast<std::uint64_t>(leftMs > 0 ? leftMs : 0));
-        if (got < 0)
-            return false;
-        bool matched = false;
-        for (auto &candidate : batch) {
-            if (!matched && candidate.session == session &&
-                candidate.sequence == sequence) {
-                reply = std::move(candidate);
-                matched = true;
-                continue;
-            }
-            // A pipelined reply that arrived alongside ours belongs
-            // to a later poll()/awaitResponses(); keep it.
-            stash.push_back(std::move(candidate));
-        }
-        if (matched)
-            return true;
-    }
-    return false;
 }
 
 } // namespace hotpath::net

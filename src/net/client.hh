@@ -2,10 +2,11 @@
  * @file
  * Client library for the TCP serving layer.
  *
- * Two usage styles over one connection: synchronous call() (send one
- * event frame, wait for its prediction reply) and pipelined
- * sendEvents() + poll()/awaitResponses() (keep many frames in flight
- * and collect replies as they arrive - the loadgen's open-loop mode).
+ * Requests are pipelined: sendEvents()/sendFrame() put frames on the
+ * wire without waiting, and poll()/awaitResponses() collect replies
+ * as they arrive, each naming the (session, sequence) of the frame it
+ * answers. A synchronous round trip is a send followed by
+ * awaitResponses(1).
  *
  * The connection is a net::FramedConn, the same reassembly and
  * resync path the server runs on requests. Each reply is
@@ -57,8 +58,8 @@ struct ClientConfig
      */
     std::uint64_t retryJitterSeed = 0;
 
-    /** Longest a blocking wait (call(), awaitResponses()) spends
-     *  waiting for replies, in milliseconds. */
+    /** Longest awaitResponses() spends waiting for replies, and a
+     *  send for socket backpressure to clear, in milliseconds. */
     std::uint64_t responseTimeoutMs = 5000;
 };
 
@@ -160,34 +161,13 @@ class Client
     bool awaitResponses(std::size_t count,
                         std::vector<PredictionReply> &replies);
 
-    /**
-     * Synchronous round trip: send one event frame and wait for the
-     * reply matching (session, sequence). Pipelined replies that
-     * arrive meanwhile are buffered and delivered by a later
-     * poll()/awaitResponses(), so call() composes with pipelined
-     * traffic. Returns false on timeout or a broken connection.
-     */
-    bool call(std::uint64_t session, std::uint64_t sequence,
-              const PathEvent *events, std::size_t count,
-              PredictionReply &reply);
-
     /** Connection counters so far. */
     const ClientStats &stats() const { return counters; }
 
   private:
-    /** poll() minus the stash: read the socket and decode every
-     *  complete reply, resyncing past corrupt regions (call()'s
-     *  receive path, which must not re-consume the replies it
-     *  stashed itself). Same returns as poll(). */
-    int pollSocket(std::vector<PredictionReply> &replies,
-                   std::uint64_t timeout_ms);
-
     ClientConfig cfg;
     FramedConn conn;
     std::vector<std::uint8_t> encodeScratch;
-    /** Pipelined replies a call() read past while matching its own;
-     *  served (in arrival order) by the next poll(). */
-    std::vector<PredictionReply> stash;
     ClientStats counters;
 };
 

@@ -1,7 +1,7 @@
 /**
  * @file
  * The non-blocking TCP server that exposes engine::Engine over the
- * hotpath_wire frame format.
+ * wire format.
  *
  * Threading model: one acceptor thread plus N reactor threads. Each
  * accepted connection is assigned to one reactor for its whole life,

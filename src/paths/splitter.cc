@@ -30,7 +30,6 @@ PathSplitter::endPath(PathEndReason reason)
 {
     current.endReason = reason;
     sink.onPath(current);
-    ++emitted;
     inPath = false;
 }
 

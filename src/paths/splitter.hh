@@ -117,9 +117,6 @@ class PathSplitter : public ExecutionListener
     /** Emit any partial path as StreamEnd (call once, at the end). */
     void flush();
 
-    /** Paths emitted so far. */
-    std::uint64_t pathsEmitted() const { return emitted; }
-
     /** Blocks executed while no path was being collected. */
     std::uint64_t unattributedBlocks() const { return orphanBlocks; }
 
@@ -137,7 +134,6 @@ class PathSplitter : public ExecutionListener
     BlockId pendingHead = kInvalidBlock;
     std::uint32_t callDepth = 0;
     bool sawCall = false;
-    std::uint64_t emitted = 0;
     std::uint64_t orphanBlocks = 0;
     bool firstBlock = true;
 };

@@ -49,7 +49,6 @@ BranchBiasTraceBuilder::onTransfer(const TransferEvent &event)
     // Hot group entry found: construct the path statically from the
     // collected branch frequencies.
     sink.onTrace(construct(head));
-    ++constructed;
     ownedHeads.insert(head);
 }
 

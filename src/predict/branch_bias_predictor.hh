@@ -60,9 +60,6 @@ class BranchBiasTraceBuilder : public ExecutionListener
     /** Profiling operations paid so far (per-branch updates). */
     const ProfilingCost &cost() const { return opCost; }
 
-    /** Traces constructed so far. */
-    std::uint64_t tracesConstructed() const { return constructed; }
-
   private:
     /** Walk the CFG from `head` along the likeliest successors. */
     NetTrace construct(BlockId head) const;
@@ -73,7 +70,6 @@ class BranchBiasTraceBuilder : public ExecutionListener
     EdgeProfiler edges;
     CounterTable headCounters;
     std::unordered_set<BlockId> ownedHeads;
-    std::uint64_t constructed = 0;
     ProfilingCost opCost;
 };
 

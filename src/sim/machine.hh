@@ -77,12 +77,6 @@ class Machine
     /** Number of completed program runs (entry-proc returns). */
     std::uint64_t programRuns() const { return runCount; }
 
-    /** Block about to execute next. */
-    BlockId currentBlock() const { return current; }
-
-    /** Deepest call stack seen across all run() calls. */
-    std::size_t callDepthHighWater() const { return depthHighWater; }
-
   private:
     /** Blocks buffered between listener dispatches. */
     static constexpr std::size_t kBatchBlocks = 256;

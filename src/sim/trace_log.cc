@@ -1,19 +1,12 @@
 #include "sim/trace_log.hh"
 
 #include <algorithm>
-#include <istream>
-#include <ostream>
 
 #include "cfg/program.hh"
 #include "support/logging.hh"
 
 namespace hotpath
 {
-
-namespace
-{
-constexpr std::uint64_t kTraceMagic = 0x48504c4f47313000ull; // "HPLOG10"
-} // namespace
 
 void
 TraceLog::onBlock(const BasicBlock &block)
@@ -27,39 +20,6 @@ TraceLog::onBatch(const ExecutionRecord *records, std::size_t count)
     blocks.reserve(blocks.size() + count);
     for (std::size_t i = 0; i < count; ++i)
         blocks.push_back(records[i].block->id);
-}
-
-void
-TraceLog::appendAll(const std::vector<BlockId> &ids)
-{
-    blocks.insert(blocks.end(), ids.begin(), ids.end());
-}
-
-void
-TraceLog::save(std::ostream &os) const
-{
-    const std::uint64_t magic = kTraceMagic;
-    const std::uint64_t count = blocks.size();
-    os.write(reinterpret_cast<const char *>(&magic), sizeof(magic));
-    os.write(reinterpret_cast<const char *>(&count), sizeof(count));
-    os.write(reinterpret_cast<const char *>(blocks.data()),
-             static_cast<std::streamsize>(count * sizeof(BlockId)));
-}
-
-void
-TraceLog::load(std::istream &is)
-{
-    std::uint64_t magic = 0;
-    std::uint64_t count = 0;
-    is.read(reinterpret_cast<char *>(&magic), sizeof(magic));
-    HOTPATH_ASSERT(is.good() && magic == kTraceMagic,
-                   "bad trace stream header");
-    is.read(reinterpret_cast<char *>(&count), sizeof(count));
-    HOTPATH_ASSERT(is.good(), "truncated trace stream");
-    blocks.assign(count, kInvalidBlock);
-    is.read(reinterpret_cast<char *>(blocks.data()),
-            static_cast<std::streamsize>(count * sizeof(BlockId)));
-    HOTPATH_ASSERT(is.good(), "truncated trace stream body");
 }
 
 void

@@ -12,7 +12,6 @@
 #ifndef HOTPATH_SIM_TRACE_LOG_HH
 #define HOTPATH_SIM_TRACE_LOG_HH
 
-#include <iosfwd>
 #include <vector>
 
 #include "sim/event.hh"
@@ -42,17 +41,8 @@ class TraceLog : public ExecutionListener
     /** Append a block id directly (for synthetic traces in tests). */
     void append(BlockId block) { blocks.push_back(block); }
 
-    /** Bulk append (wire-format import, trace stitching). */
-    void appendAll(const std::vector<BlockId> &ids);
-
     /** Drop all recorded blocks. */
     void clear() { blocks.clear(); }
-
-    /** Serialize to a binary stream. */
-    void save(std::ostream &os) const;
-
-    /** Deserialize from a binary stream (replaces contents). */
-    void load(std::istream &is);
 
     /**
      * Replay the trace against `program`, driving `listeners` with

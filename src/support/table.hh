@@ -47,9 +47,6 @@ class TextTable
     /** Render as CSV. */
     void printCsv(std::ostream &os) const;
 
-    /** Data rows added so far (header excluded). */
-    std::size_t rowCount() const { return rows.size(); }
-
   private:
     std::vector<std::string> header;
     std::vector<std::vector<std::string>> rows;

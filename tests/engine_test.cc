@@ -26,7 +26,6 @@
 #include "engine/session_table.hh"
 #include "engine/wire_format.hh"
 #include "predict/net_predictor.hh"
-#include "sim/trace_log.hh"
 #include "support/random.hh"
 #include "workload/synthesis.hh"
 
@@ -185,6 +184,46 @@ refSessionStateFrame(std::uint64_t session, std::uint64_t sequence,
                     payload);
 }
 
+/**
+ * The other inputs the defensive-decoding properties walk, beside a
+ * PathEvents frame: a Predictions frame, a SessionState snapshot and
+ * a SessionState export request.
+ */
+std::vector<std::vector<std::uint8_t>>
+nonEventFrames()
+{
+    std::vector<std::vector<std::uint8_t>> frames(3);
+    std::vector<wire::PredictionRecord> records;
+    for (const PathEvent &e : syntheticEvents(20, 31))
+        records.push_back({e.head, e.path});
+    wire::appendPredictionFrame(frames[0], 4, 2, records.data(),
+                                records.size());
+
+    wire::SessionState snapshot;
+    snapshot.predictionDelay = 50;
+    snapshot.lastSequence = 9;
+    snapshot.sawFrame = true;
+    snapshot.cacheClock = 1234;
+    for (std::uint64_t i = 0; i < 6; ++i)
+        snapshot.counters.push_back({3 + 7 * i, 40 + i});
+    snapshot.retired = {2, 11, 300, 70000};
+    for (std::uint32_t i = 0; i < 5; ++i)
+        snapshot.fragments.push_back({10 + 3 * i, 24 + i, 5 * i, 900 + i});
+    snapshot.framesApplied = 10;
+    snapshot.eventsProcessed = 5120;
+    snapshot.cachedEvents = 4000;
+    snapshot.interpretedEvents = 1120;
+    snapshot.predictions = 5;
+    snapshot.sequenceGaps = 1;
+    snapshot.decodeErrors = 2;
+    wire::appendSessionStateFrame(frames[1], 4, 3, snapshot);
+
+    wire::SessionState request;
+    request.request = true;
+    wire::appendSessionStateFrame(frames[2], 4, 4, request);
+    return frames;
+}
+
 } // namespace
 
 // Primitive encodings ----------------------------------------------
@@ -293,29 +332,6 @@ TEST(WireFormat, EmptyFrameRoundTrips)
     EXPECT_EQ(offset, bytes.size());
 }
 
-TEST(WireFormat, TraceLogRoundTripsThroughBlockFrames)
-{
-    TraceLog log;
-    Rng rng(5);
-    BlockId block = 100;
-    for (int i = 0; i < 5000; ++i) {
-        // Mostly small forward/backward hops, sometimes a far jump.
-        block = rng.nextBool(0.05)
-                    ? static_cast<BlockId>(rng.next())
-                    : static_cast<BlockId>(
-                          block + rng.nextInRange(-3, 3));
-        log.append(block);
-    }
-
-    const std::vector<std::uint8_t> bytes =
-        wire::encodeTraceLog(log, /*session=*/7, /*frame_events=*/777);
-    TraceLog decoded;
-    ASSERT_EQ(wire::decodeTraceLog(bytes.data(), bytes.size(),
-                                   decoded),
-              wire::DecodeStatus::Ok);
-    EXPECT_EQ(decoded.sequence(), log.sequence());
-}
-
 TEST(WireFormat, PeekAgreesWithFullDecode)
 {
     const std::vector<PathEvent> events = syntheticEvents(100, 3);
@@ -363,16 +379,10 @@ TEST(WireFormat, FrameEncodersMatchTheReferenceByteForByte)
             want.insert(want.end(), frame.begin(), frame.end());
             EXPECT_EQ(got, want) << "events n=" << n;
 
-            std::vector<BlockId> blocks;
-            std::vector<std::uint8_t> block_payload;
             std::vector<wire::PredictionRecord> records;
             std::vector<std::uint8_t> record_payload;
-            BlockId prev_block = 0;
             wire::PredictionRecord prev_record;
             for (std::size_t i = 0; i < n; ++i) {
-                blocks.push_back(events[i].path);
-                refDelta(block_payload, prev_block, blocks.back());
-                prev_block = blocks.back();
                 records.push_back({events[i].head, events[i].path});
                 refDelta(record_payload, prev_record.head,
                          records.back().head);
@@ -380,11 +390,6 @@ TEST(WireFormat, FrameEncodersMatchTheReferenceByteForByte)
                          records.back().path);
                 prev_record = records.back();
             }
-            got.clear();
-            wire::appendBlockFrame(got, id[0], id[1], blocks.data(), n);
-            EXPECT_EQ(got, refFrame(wire::FrameKind::BlockTrace, id[0],
-                                    id[1], n, block_payload))
-                << "blocks n=" << n;
             got.clear();
             wire::appendPredictionFrame(got, id[0], id[1],
                                         records.data(), n);
@@ -474,41 +479,57 @@ TEST(WireFormat, EncodeEventStreamMatchesTheReferenceByteForByte)
 TEST(WireFormat, TruncationAtEveryLengthIsRejectedWithoutCrashing)
 {
     const std::vector<PathEvent> events = syntheticEvents(64, 21);
-    std::vector<std::uint8_t> bytes;
-    wire::appendEventFrame(bytes, 5, 0, events.data(), events.size());
+    std::vector<std::vector<std::uint8_t>> inputs(1);
+    wire::appendEventFrame(inputs[0], 5, 0, events.data(),
+                           events.size());
+    for (auto &frame : nonEventFrames())
+        inputs.push_back(std::move(frame));
 
     wire::DecodedFrame frame;
-    for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
-        std::size_t offset = 0;
-        const wire::DecodeStatus status =
-            wire::decodeFrame(bytes.data(), cut, offset, frame);
-        EXPECT_NE(status, wire::DecodeStatus::Ok) << "cut=" << cut;
-        EXPECT_EQ(offset, 0u) << "offset moved on error, cut=" << cut;
+    for (std::size_t n = 0; n < inputs.size(); ++n) {
+        const std::vector<std::uint8_t> &bytes = inputs[n];
+        for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+            std::size_t offset = 0;
+            const wire::DecodeStatus status =
+                wire::decodeFrame(bytes.data(), cut, offset, frame);
+            EXPECT_NE(status, wire::DecodeStatus::Ok)
+                << "input " << n << " cut=" << cut;
+            EXPECT_EQ(offset, 0u)
+                << "offset moved on error, input " << n
+                << " cut=" << cut;
+        }
     }
 }
 
 TEST(WireFormat, EverySingleByteCorruptionIsDetected)
 {
     const std::vector<PathEvent> events = syntheticEvents(32, 8);
-    std::vector<std::uint8_t> bytes;
-    wire::appendEventFrame(bytes, 3, 1, events.data(), events.size());
+    std::vector<std::vector<std::uint8_t>> inputs(1);
+    wire::appendEventFrame(inputs[0], 3, 1, events.data(),
+                           events.size());
+    for (auto &frame : nonEventFrames())
+        inputs.push_back(std::move(frame));
 
     // The CRC covers kind..payload and the CRC bytes themselves are
     // compared, so any single-byte flip anywhere in the frame must
     // surface as a non-Ok status (which one depends on whether the
     // flip breaks structure before the CRC check runs).
     wire::DecodedFrame frame;
-    for (std::size_t i = 0; i < bytes.size(); ++i) {
-        for (std::uint8_t flip : {std::uint8_t{0x01},
-                                  std::uint8_t{0x80},
-                                  std::uint8_t{0xff}}) {
-            std::vector<std::uint8_t> corrupt = bytes;
-            corrupt[i] ^= flip;
-            std::size_t offset = 0;
-            const wire::DecodeStatus status = wire::decodeFrame(
-                corrupt.data(), corrupt.size(), offset, frame);
-            EXPECT_NE(status, wire::DecodeStatus::Ok)
-                << "byte " << i << " flip " << int(flip);
+    for (std::size_t n = 0; n < inputs.size(); ++n) {
+        const std::vector<std::uint8_t> &bytes = inputs[n];
+        for (std::size_t i = 0; i < bytes.size(); ++i) {
+            for (std::uint8_t flip : {std::uint8_t{0x01},
+                                      std::uint8_t{0x80},
+                                      std::uint8_t{0xff}}) {
+                std::vector<std::uint8_t> corrupt = bytes;
+                corrupt[i] ^= flip;
+                std::size_t offset = 0;
+                const wire::DecodeStatus status = wire::decodeFrame(
+                    corrupt.data(), corrupt.size(), offset, frame);
+                EXPECT_NE(status, wire::DecodeStatus::Ok)
+                    << "input " << n << " byte " << i << " flip "
+                    << int(flip);
+            }
         }
     }
 }
@@ -556,6 +577,30 @@ TEST(WireFormat, OversizedCountIsBadLengthNotAnAllocation)
     EXPECT_EQ(
         wire::decodeFrame(bytes.data(), bytes.size(), offset, frame),
         wire::DecodeStatus::BadLength);
+}
+
+TEST(WireFormat, UnknownKindBytesAreBadKind)
+{
+    // CRC-valid frames whose kind byte names no FrameKind: the header
+    // parse refuses them before any payload is read, whether a scan
+    // peeks the header or a worker decodes the frame.
+    for (const int kind : {0, 2, 5, 255}) {
+        const std::vector<std::uint8_t> bytes = refFrame(
+            static_cast<wire::FrameKind>(kind), 1, 0, 0, {});
+        wire::FrameHeader header;
+        std::size_t frame_end = 0;
+        EXPECT_EQ(wire::peekFrameHeader(bytes.data(), bytes.size(), 0,
+                                        header, frame_end),
+                  wire::DecodeStatus::BadKind)
+            << "kind " << int(kind);
+        std::size_t offset = 0;
+        wire::DecodedFrame frame;
+        EXPECT_EQ(wire::decodeFrame(bytes.data(), bytes.size(), offset,
+                                    frame),
+                  wire::DecodeStatus::BadKind)
+            << "kind " << int(kind);
+        EXPECT_EQ(offset, 0u) << "kind " << int(kind);
+    }
 }
 
 // Session ----------------------------------------------------------
@@ -1123,10 +1168,11 @@ TEST(Engine, DecodeScratchReuseIsStateless)
     wire::appendEventFrame(big_frame, 1, 0, big);
     std::vector<std::uint8_t> small_frame;
     wire::appendEventFrame(small_frame, 1, 1, small);
-    std::vector<std::uint8_t> block_frame;
-    const std::vector<BlockId> blocks = {9, 8, 7, 6, 5};
-    wire::appendBlockFrame(block_frame, 1, 2, blocks.data(),
-                           blocks.size());
+    std::vector<std::uint8_t> prediction_frame;
+    const std::vector<wire::PredictionRecord> records = {
+        {9, 90}, {8, 80}, {7, 70}, {6, 60}, {5, 50}};
+    wire::appendPredictionFrame(prediction_frame, 1, 2, records.data(),
+                                records.size());
 
     wire::DecodedFrame scratch;
     std::size_t offset = 0;
@@ -1136,10 +1182,16 @@ TEST(Engine, DecodeScratchReuseIsStateless)
     ASSERT_EQ(scratch.events.size(), big.size());
 
     offset = 0;
-    ASSERT_EQ(wire::decodeFrame(block_frame.data(),
-                                block_frame.size(), offset, scratch),
+    ASSERT_EQ(wire::decodeFrame(prediction_frame.data(),
+                                prediction_frame.size(), offset,
+                                scratch),
               wire::DecodeStatus::Ok);
-    EXPECT_EQ(scratch.blocks, blocks);
+    ASSERT_EQ(scratch.predictions.size(), records.size());
+    for (std::size_t i = 0; i < records.size(); ++i) {
+        EXPECT_EQ(scratch.predictions[i].head, records[i].head);
+        EXPECT_EQ(scratch.predictions[i].path, records[i].path);
+    }
+    EXPECT_TRUE(scratch.events.empty());
 
     offset = 0;
     ASSERT_EQ(wire::decodeFrame(small_frame.data(),
@@ -1156,6 +1208,7 @@ TEST(Engine, DecodeScratchReuseIsStateless)
     for (std::size_t i = 0; i < fresh.events.size(); ++i)
         EXPECT_TRUE(sameEvent(scratch.events[i], fresh.events[i]))
             << "event " << i;
+    EXPECT_TRUE(scratch.predictions.empty());
     EXPECT_EQ(scratch.header.sequence, fresh.header.sequence);
 }
 

@@ -2,7 +2,7 @@
  * @file
  * Fault-injection and resilience tests: the injector's determinism
  * contract (same seed, same fault schedule), wire-format resync after
- * corruption (at most the quarantined frame is lost), session error
+ * corruption (at most the corrupt frame is lost), session error
  * budgets with exponential re-admission backoff, allocation-failure
  * gating, delayed-frame redelivery, the degradation policy's
  * enter/exit discipline, and load shedding under sustained overload.
@@ -24,7 +24,6 @@
 #include "dynamo/flush.hh"
 #include "engine/engine.hh"
 #include "engine/wire_format.hh"
-#include "sim/trace_log.hh"
 #include "support/fault_injector.hh"
 
 using namespace hotpath;
@@ -154,83 +153,44 @@ TEST(WireResync, FindNextFrameSkipsCorruption)
     }
 
     // Clean buffer: every frame start is found from just before it.
-    for (std::size_t f = 0; f < starts.size(); ++f)
-        ASSERT_EQ(wire::findNextFrame(buffer.data(), buffer.size(),
-                                      f == 0 ? 0 : starts[f - 1] + 1),
+    bool complete = false;
+    for (std::size_t f = 0; f < starts.size(); ++f) {
+        ASSERT_EQ(wire::findFrameBoundary(
+                      buffer.data(), buffer.size(),
+                      f == 0 ? 0 : starts[f - 1] + 1, &complete),
                   starts[f]);
+        ASSERT_TRUE(complete);
+    }
 
     // Corrupt frame 1's payload: scanning from inside it lands on
     // frame 2, never on a fabricated boundary inside the damage.
     buffer[starts[1] + 10] ^= 0x40;
-    ASSERT_EQ(wire::findNextFrame(buffer.data(), buffer.size(),
-                                  starts[1]),
+    ASSERT_EQ(wire::findFrameBoundary(buffer.data(), buffer.size(),
+                                      starts[1], &complete),
               starts[2]);
+    ASSERT_TRUE(complete);
 
     // No valid frame after the last one: returns size.
-    ASSERT_EQ(wire::findNextFrame(buffer.data(), buffer.size(),
-                                  starts.back() + 1),
+    ASSERT_EQ(wire::findFrameBoundary(buffer.data(), buffer.size(),
+                                      starts.back() + 1, &complete),
               buffer.size());
-}
-
-TEST(WireResync, ResilientTraceLogDecodeLosesOnlyQuarantinedFrame)
-{
-    TraceLog log;
-    for (std::uint32_t i = 0; i < 1000; ++i)
-        log.append(i % 17);
-    std::vector<std::uint8_t> bytes =
-        wire::encodeTraceLog(log, /*session=*/3, /*frame_events=*/100);
-
-    // Undamaged: everything decodes, nothing is quarantined.
-    {
-        TraceLog out;
-        wire::ResyncStats stats;
-        ASSERT_EQ(wire::decodeTraceLogResilient(bytes.data(),
-                                                bytes.size(), out,
-                                                &stats),
-                  10u);
-        ASSERT_EQ(stats.framesQuarantined, 0u);
-        ASSERT_EQ(out.sequence(), log.sequence());
-    }
-
-    // Flip one payload bit mid-buffer: exactly one frame (100
-    // blocks) is lost; every other frame survives.
-    std::vector<std::uint8_t> damaged = bytes;
-    damaged[damaged.size() / 2] ^= 0x10;
-    TraceLog out;
-    wire::ResyncStats stats;
-    const std::uint64_t decoded = wire::decodeTraceLogResilient(
-        damaged.data(), damaged.size(), out, &stats);
-    ASSERT_EQ(decoded, 9u);
-    ASSERT_EQ(stats.framesQuarantined, 1u);
-    ASSERT_GT(stats.bytesSkipped, 0u);
-    ASSERT_EQ(out.sequence().size(), 900u);
-
-    // The plain decoder still stops at the damage (its contract);
-    // the resilient one is strictly more useful, never less exact.
-    TraceLog strict;
-    ASSERT_NE(wire::decodeTraceLog(damaged.data(), damaged.size(),
-                                   strict),
-              wire::DecodeStatus::Ok);
+    ASSERT_FALSE(complete);
 }
 
 TEST(EngineResilience, SubmitBufferResyncsAfterCorruptHeader)
 {
-    const auto frames = makeFrames(/*session=*/5, /*frames=*/6,
-                                   /*events_per_frame=*/64);
-    std::vector<std::uint8_t> buffer;
-    std::vector<std::size_t> starts;
-    for (const auto &frame : frames) {
-        starts.push_back(buffer.size());
-        buffer.insert(buffer.end(), frame.begin(), frame.end());
-    }
-    // Destroy frame 2's magic: its header no longer parses, so the
-    // ingest loop must resync rather than route it.
-    buffer[starts[2]] = 0x00;
+    // Six frames, submitted one at a time. Destroy frame 2's magic:
+    // its header no longer parses, so the engine must reject that
+    // frame alone and apply the five around it.
+    auto frames = makeFrames(/*session=*/5, /*frames=*/6,
+                             /*events_per_frame=*/64);
+    frames[2][0] = 0x00;
 
     EngineConfig config;
     config.workerThreads = 0;
     Engine eng(config);
-    ASSERT_EQ(eng.submitBuffer(buffer.data(), buffer.size()), 5u);
+    for (std::size_t f = 0; f < frames.size(); ++f)
+        ASSERT_EQ(eng.submit(frames[f]), f != 2);
     eng.drain();
 
     const EngineStats stats = eng.stats();

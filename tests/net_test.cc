@@ -7,8 +7,7 @@
  * mid-batch, half-closed clients (FIN with the last frame or after
  * the replies), graceful drain, client connect backoff, completion
  * replies for frames the engine rejects at decode (bad CRC, wrong
- * kind), call() composing with pipelined traffic, client-side
- * resync past corrupt replies, and the admin introspection endpoint
+ * kind), client-side resync past corrupt replies, and the admin introspection endpoint
  * (/metrics, /healthz across drain, /stats, malformed-request
  * survival).
  *
@@ -705,50 +704,6 @@ TEST(NetServer, NonEventFrameKindStillGetsAnEmptyReply)
     EXPECT_EQ(stats.framesIn, 1u);
     EXPECT_EQ(stats.responsesOut, 1u);
     EXPECT_EQ(eng.stats().rejects.badKind, 1u);
-}
-
-TEST(NetClient, CallBuffersPipelinedRepliesForLaterPolls)
-{
-    Engine eng(recordingConfig(2));
-    net::Server server(eng, testServerConfig());
-    ASSERT_TRUE(server.start());
-
-    net::ClientConfig clientCfg;
-    clientCfg.port = server.port();
-    net::Client client(clientCfg);
-    ASSERT_TRUE(client.connect());
-
-    // Pipeline a batch for session 41, then issue a synchronous
-    // call() for session 42 before collecting the batch's replies.
-    const auto frames = makeFrames(41, 6, 64);
-    for (const auto &frame : frames)
-        ASSERT_TRUE(client.sendFrame(frame.data(), frame.size()));
-
-    std::vector<PathEvent> events;
-    for (std::uint32_t i = 0; i < 16; ++i) {
-        PathEvent event;
-        event.path = i * 10;
-        event.head = i % 4;
-        event.blocks = 4;
-        event.branches = 3;
-        event.instructions = 40;
-        events.push_back(event);
-    }
-    net::PredictionReply reply;
-    ASSERT_TRUE(
-        client.call(42, 0, events.data(), events.size(), reply));
-    EXPECT_EQ(reply.session, 42u);
-    EXPECT_EQ(reply.sequence, 0u);
-
-    // Session-41 replies that call() read past were buffered, not
-    // dropped: poll()/awaitResponses() still delivers all of them.
-    std::vector<net::PredictionReply> replies;
-    ASSERT_TRUE(client.awaitResponses(frames.size(), replies));
-    ASSERT_EQ(replies.size(), frames.size());
-    for (const auto &buffered : replies)
-        EXPECT_EQ(buffered.session, 41u);
-
-    server.stop();
 }
 
 TEST(NetClient, ResyncsPastCorruptReplies)

@@ -201,24 +201,34 @@ observedInstruments(const telemetry::MetricsSnapshot &snapshot)
     return names;
 }
 
-/** `count` PathEvents frames for `session` (sequences 0..count-1),
+/** One 24-event PathEvents frame for `session` at `sequence`. */
+std::vector<std::uint8_t>
+eventFrame(std::uint64_t session, std::uint64_t sequence)
+{
+    std::vector<PathEvent> events;
+    for (std::uint32_t i = 0; i < 24; ++i) {
+        PathEvent event;
+        event.head = i % 4;
+        event.path = event.head * 10;
+        event.blocks = 4;
+        event.branches = 3;
+        event.instructions = 30;
+        events.push_back(event);
+    }
+    std::vector<std::uint8_t> frame;
+    wire::appendEventFrame(frame, session, sequence, events);
+    return frame;
+}
+
+/** `count` eventFrame()s for `session` (sequences 0..count-1),
  *  concatenated into one buffer. */
 std::vector<std::uint8_t>
 eventFrames(std::uint64_t session, std::size_t count)
 {
     std::vector<std::uint8_t> bytes;
     for (std::size_t f = 0; f < count; ++f) {
-        std::vector<PathEvent> events;
-        for (std::uint32_t i = 0; i < 24; ++i) {
-            PathEvent event;
-            event.head = i % 4;
-            event.path = event.head * 10;
-            event.blocks = 4;
-            event.branches = 3;
-            event.instructions = 30;
-            events.push_back(event);
-        }
-        wire::appendEventFrame(bytes, session, f, events);
+        const std::vector<std::uint8_t> frame = eventFrame(session, f);
+        bytes.insert(bytes.end(), frame.begin(), frame.end());
     }
     return bytes;
 }
@@ -587,8 +597,8 @@ TEST(ObservabilityStats, DefaultEngineRegistersNoResilienceInstruments)
 {
     telemetry::TelemetrySession session;
     engine::Engine eng(engine::EngineConfig{});
-    const std::vector<std::uint8_t> frames = eventFrames(1, 3);
-    ASSERT_EQ(eng.submitBuffer(frames.data(), frames.size()), 3u);
+    for (std::uint64_t f = 0; f < 3; ++f)
+        ASSERT_TRUE(eng.submit(eventFrame(1, f)));
     eng.drain();
 
     const telemetry::MetricsSnapshot snapshot =

@@ -7,8 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "cfg/builder.hh"
 #include "sim/machine.hh"
 #include "sim/trace_log.hh"
@@ -281,20 +279,6 @@ TEST(TraceLogTest, RecordsBlocks)
     machine.addListener(&log);
     machine.run(1000);
     EXPECT_EQ(log.size(), 1000u);
-}
-
-TEST(TraceLogTest, SaveLoadRoundTrip)
-{
-    TraceLog log;
-    for (BlockId id : {0u, 1u, 2u, 1u, 2u, 3u})
-        log.append(id);
-
-    std::stringstream buffer;
-    log.save(buffer);
-
-    TraceLog loaded;
-    loaded.load(buffer);
-    EXPECT_EQ(loaded.sequence(), log.sequence());
 }
 
 TEST(TraceLogTest, ReplayReproducesLiveEventStream)

@@ -9,12 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <iterator>
-#include <sstream>
 #include <unordered_set>
 
 #include "metrics/oracle.hh"
 #include "workload/spec_profile.hh"
-#include "workload/stream_io.hh"
 #include "workload/synthesis.hh"
 
 using namespace hotpath;
@@ -317,52 +315,4 @@ TEST(CalibratedWorkloadDeathTest, NoRescaleMeansInfeasiblePanics)
     config.autoRescale = false;
     EXPECT_DEATH(CalibratedWorkload(specTarget("ijpeg"), config),
                  "infeasible");
-}
-
-TEST(StreamIoTest, RoundTripPreservesEveryEvent)
-{
-    CalibratedWorkload workload(specTarget("deltablue"),
-                                smallConfig());
-    const std::vector<PathEvent> stream =
-        workload.materializeStream(5);
-
-    std::stringstream buffer;
-    savePathStream(buffer, stream);
-    const std::vector<PathEvent> loaded = loadPathStream(buffer);
-
-    ASSERT_EQ(loaded.size(), stream.size());
-    for (std::size_t i = 0; i < stream.size(); ++i) {
-        ASSERT_EQ(loaded[i].path, stream[i].path);
-        ASSERT_EQ(loaded[i].head, stream[i].head);
-        ASSERT_EQ(loaded[i].blocks, stream[i].blocks);
-        ASSERT_EQ(loaded[i].branches, stream[i].branches);
-        ASSERT_EQ(loaded[i].instructions, stream[i].instructions);
-    }
-}
-
-TEST(StreamIoTest, EmptyStreamRoundTrips)
-{
-    std::stringstream buffer;
-    savePathStream(buffer, {});
-    EXPECT_TRUE(loadPathStream(buffer).empty());
-}
-
-TEST(StreamIoDeathTest, RejectsGarbage)
-{
-    std::stringstream buffer;
-    buffer << "this is not a path stream container at all";
-    EXPECT_DEATH(loadPathStream(buffer), "bad path-stream header");
-}
-
-TEST(StreamIoDeathTest, RejectsTruncation)
-{
-    CalibratedWorkload workload(specTarget("compress"),
-                                smallConfig());
-    const std::vector<PathEvent> stream =
-        workload.materializeStream();
-    std::stringstream buffer;
-    savePathStream(buffer, stream);
-    const std::string full = buffer.str();
-    std::stringstream cut(full.substr(0, full.size() / 2));
-    EXPECT_DEATH(loadPathStream(cut), "truncated");
 }
