@@ -18,12 +18,26 @@ namespace hotpath::bench
 std::string
 flagValue(int argc, char **argv, const char *name)
 {
-    const std::string prefix = std::string("--") + name + "=";
+    const std::string bare = std::string("--") + name;
+    const std::string prefix = bare + "=";
     for (int i = 1; i < argc; ++i) {
+        if (bare == argv[i])
+            fatal(detail::concat(bare, " takes a value: pass ", bare,
+                                 "=<value>"));
         if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0)
             return std::string(argv[i] + prefix.size());
     }
     return "";
+}
+
+bool
+hasFlag(int argc, char **argv, const char *name)
+{
+    const std::string bare = std::string("--") + name;
+    for (int i = 1; i < argc; ++i)
+        if (bare == argv[i])
+            return true;
+    return false;
 }
 
 std::uint64_t

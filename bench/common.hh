@@ -55,8 +55,15 @@ class TelemetryScope
     std::unique_ptr<telemetry::TelemetrySession> session;
 };
 
-/** Value of `--<name>=<value>` in argv, or "" when absent. */
+/**
+ * Value of `--<name>=<value>` in argv, or "" when absent; exits with
+ * an error naming that form when argv holds a bare `--<name>`, which
+ * would otherwise be ignored.
+ */
 std::string flagValue(int argc, char **argv, const char *name);
+
+/** True when argv holds the bare switch `--<name>` at any position. */
+bool hasFlag(int argc, char **argv, const char *name);
 
 /**
  * Value of `--<name>=<u64>` in argv, or `fallback` when the flag is
@@ -120,7 +127,8 @@ std::vector<BenchmarkSweep> runFigureSweeps(const SweepSetup &setup);
 void printCurveData(std::ostream &os,
                     const std::vector<BenchmarkSweep> &sweeps);
 
-/** Same rows as CSV (for replotting); pass "--csv" to the benches. */
+/** Same rows as CSV (for replotting); fig2_hit_rate and
+ *  fig3_noise_rate print only these when passed `--csv`. */
 void printCurveCsv(std::ostream &os,
                    const std::vector<BenchmarkSweep> &sweeps);
 

@@ -254,6 +254,8 @@ main(int argc, char **argv)
         bench::flagU64(argc, argv, "spans", 0);
     const std::size_t span_workers = static_cast<std::size_t>(
         bench::flagU64(argc, argv, "span-workers", 2));
+    const std::string json_path =
+        bench::flagValue(argc, argv, "json");
 
     std::cout << "Engine throughput: wire-format ingestion into "
                  "per-session NET predictors\n\n";
@@ -375,8 +377,6 @@ main(int argc, char **argv)
                      "server-side stages and do not occur here)\n";
     }
 
-    const std::string json_path =
-        bench::flagValue(argc, argv, "json");
     if (!json_path.empty()) {
         std::ofstream out(json_path);
         out << "{\n"

@@ -203,10 +203,7 @@ runAdaptive(std::uint64_t seed)
             feedEpoch(eng, i + 1, sequences[i], streams[i]);
         eng.drain();
         // Epoch boundary: the control plane observes and retunes.
-        // Load pressure is 0 in this bench (serial engine, queues
-        // always empty) - the shed path is pinned by
-        // tests/control_test.cc instead.
-        controller.stepWithLoad(0);
+        controller.step();
         if (epoch + 1 == kWarmupEpochs)
             for (std::size_t i = 0; i < streams.size(); ++i)
                 warm[i] = snapshotSession(eng, i + 1);
@@ -314,6 +311,9 @@ main(int argc, char **argv)
     bench::TelemetryScope scope(argc, argv,
                                 "X13 adaptive tau control");
     const std::uint64_t seed = bench::seedFlag(argc, argv, 1);
+    // Read before the run, so a malformed flag fails fast.
+    const std::string json_path = bench::flagValue(argc, argv, "json");
+    const std::string csv_path = bench::flagValue(argc, argv, "csv");
 
     std::vector<RunRow> rows;
     for (const AdversarialKind kind : kWorkloads)
@@ -352,12 +352,8 @@ main(int argc, char **argv)
               << " epochs, " << adaptive.stats.decisions
               << " retunes\n";
 
-    const std::string json_path =
-        bench::flagValue(argc, argv, "json");
     if (!json_path.empty())
         writeJson(json_path, seed, rows, adaptive);
-    const std::string csv_path =
-        bench::flagValue(argc, argv, "csv");
     if (!csv_path.empty())
         writeCsv(csv_path, rows);
     return 0;

@@ -214,10 +214,7 @@ main(int argc, char **argv)
         bench::flagU64(argc, argv, "sessions", 8));
     const std::size_t events_per_frame = static_cast<std::size_t>(
         bench::flagU64(argc, argv, "frame", 256));
-    bool timing = false;
-    for (int i = 1; i < argc; ++i)
-        if (std::string(argv[i]) == "--timing")
-            timing = true;
+    const bool timing = bench::hasFlag(argc, argv, "timing");
 
     std::cout << "Fault resilience: injection rate x recovery "
                  "policy on the streaming engine\n\n";

@@ -195,6 +195,9 @@ int
 main(int argc, char **argv)
 {
     bench::TelemetryScope telemetry(argc, argv, "ext_path_cloning");
+    // Read before the run, so a malformed flag fails fast.
+    const std::string json_path = bench::flagValue(argc, argv, "json");
+    const std::string csv_path = bench::flagValue(argc, argv, "csv");
 
     std::cout << "X12: path-cloning triage across the predictor "
                  "family (delay 50, k=2; policy grid in Propeller "
@@ -332,7 +335,6 @@ main(int argc, char **argv)
             << ", \"score_threshold\": " << p.scoreThreshold;
     };
 
-    const std::string json_path = bench::flagValue(argc, argv, "json");
     if (!json_path.empty()) {
         std::ofstream out(json_path);
         out << "{\n  \"seed\": "
@@ -369,7 +371,6 @@ main(int argc, char **argv)
         out << "  ]\n}\n";
     }
 
-    const std::string csv_path = bench::flagValue(argc, argv, "csv");
     if (!csv_path.empty()) {
         std::ofstream out(csv_path);
         out << "benchmark,predictor,max_path_length,min_flow_ratio,"

@@ -64,7 +64,7 @@ main(int argc, char **argv)
     TelemetryScope telemetry(argc, argv, "fig3_noise_rate");
 
     // --csv: dump the raw curve rows for replotting and exit.
-    if (argc > 1 && std::string(argv[1]) == "--csv") {
+    if (hasFlag(argc, argv, "csv")) {
         SweepSetup setup;
         setup.seed = seedFlag(argc, argv, setup.seed);
         setup.jobs = jobsFlag(argc, argv);

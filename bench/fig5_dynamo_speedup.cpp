@@ -91,6 +91,8 @@ main(int argc, char **argv)
     // --telemetry-out=<path> captures the run's counters/histograms
     // (cache hits/misses, link traffic, fragment sizes) as a report.
     bench::TelemetryScope telemetry(argc, argv, "fig5_dynamo_speedup");
+    // Read before the run, so a malformed flag fails fast.
+    const std::string json_path = bench::flagValue(argc, argv, "json");
 
     std::cout << "Figure 5: Dynamo speedup over native execution "
                  "(non-bail-out benchmarks; flow at 1/25 scale)\n\n";
@@ -208,7 +210,6 @@ main(int argc, char **argv)
                  "piecemeal policies trade per-victim link repair "
                  "for keeping the rest of the working set hot.\n";
 
-    const std::string json_path = bench::flagValue(argc, argv, "json");
     if (!json_path.empty()) {
         std::ofstream out(json_path);
         out << "{\n  \"seed\": "

@@ -71,8 +71,7 @@
  *                       control_* keys (Server::setStatsAugmenter;
  *                       port printed at startup so engine_top can
  *                       watch the run), and the summary reports
- *                       epochs run, retunes committed and shed
- *                       transitions
+ *                       epochs run and retunes committed
  *   --epoch-ms=<ms>     control epoch period for --adaptive
  *                       (default 100)
  *   --json=<path>       machine-readable summary (the net-smoke and
@@ -319,12 +318,11 @@ main(int argc, char **argv)
         bench::flagU64(argc, argv, "kill-after-frames", 0);
     const std::uint64_t resetEvery =
         bench::flagU64(argc, argv, "reset-every", 0);
-    bool adaptive = false;
-    for (int i = 1; i < argc; ++i)
-        if (std::string(argv[i]) == "--adaptive")
-            adaptive = true;
+    const bool adaptive = bench::hasFlag(argc, argv, "adaptive");
     const std::uint64_t epochMs =
         bench::flagU64(argc, argv, "epoch-ms", 100);
+    const std::string json_path =
+        bench::flagValue(argc, argv, "json");
     if (clusterN > 0 && !connect.empty()) {
         std::cerr << "net_loadgen: --cluster and --connect are "
                      "mutually exclusive\n";
@@ -461,8 +459,8 @@ main(int argc, char **argv)
     }
 
     // Adaptive pump: one control epoch every --epoch-ms while the
-    // load runs (live mode: the controller reads the engine's real
-    // queue depths for its pressure signal).
+    // load runs (live mode: the controller retunes sessions while
+    // their frames are in flight).
     std::atomic<bool> pumpStop{false};
     std::thread pump;
     if (controller) {
@@ -699,12 +697,6 @@ main(int argc, char **argv)
         const control::ControlStats ctlStats = controller->stats();
         row("control epochs", std::to_string(ctlStats.epochs));
         row("control retunes", std::to_string(ctlStats.decisions));
-        row("control shed engaged",
-            std::to_string(ctlStats.shedEngaged));
-        row("control shed released",
-            std::to_string(ctlStats.shedReleased));
-        row("control load hint (permille)",
-            std::to_string(controller->loadHintPermille()));
     }
     if (clustered) {
         row("router frames routed",
@@ -789,8 +781,6 @@ main(int argc, char **argv)
     if (auto *g = telemetry::gauge("netload.conservation.ok"))
         g->set(conservationOk ? 1 : 0);
 
-    const std::string json_path =
-        bench::flagValue(argc, argv, "json");
     if (!json_path.empty()) {
         std::ofstream out(json_path);
         out << "{\n"
@@ -903,13 +893,7 @@ main(int argc, char **argv)
                 << "\"epochs\": " << ctlStats.epochs
                 << ", \"retunes\": " << ctlStats.decisions
                 << ", \"sessions_observed\": "
-                << ctlStats.sessionsObserved
-                << ", \"shed_engaged\": " << ctlStats.shedEngaged
-                << ", \"shed_released\": " << ctlStats.shedReleased
-                << ", \"shed_active\": "
-                << (ctlStats.shedActive ? "true" : "false")
-                << ", \"load_hint_permille\": "
-                << controller->loadHintPermille() << "},\n";
+                << ctlStats.sessionsObserved << "},\n";
         }
         if (spansOn) {
             out << "  \"stage_spans\": {"

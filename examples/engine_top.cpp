@@ -225,29 +225,20 @@ printRouterSnapshot(const std::string &doc, const std::string &prev,
 
 /** Adaptive-control section (present when a control::Controller is
  *  attached via Server::setStatsAugmenter, detected by the
- *  control_epoch key): epoch, retune/shed counters, queue pressure,
- *  the τ ladder with per-rung session occupancy, class tallies, and
- *  the most recent retune decision. */
+ *  control_epoch key): epoch, retune count, the τ ladder with
+ *  per-rung session occupancy, class tallies, and the most recent
+ *  retune decision. */
 void
 printControlSnapshot(const std::string &doc)
 {
     if (doc.find("\"control_epoch\":") == std::string::npos)
         return;
 
-    const bool shedding = jsonU64(doc, "control_shed_active") != 0;
     std::cout << "\ncontrol: epoch " << jsonU64(doc, "control_epoch")
               << " | " << jsonU64(doc, "control_decisions")
               << " retunes | "
               << jsonU64(doc, "control_sessions_observed")
-              << " sessions observed | shed "
-              << (shedding ? "ACTIVE" : "off") << " ("
-              << jsonU64(doc, "control_shed_engaged") << " engaged / "
-              << jsonU64(doc, "control_shed_released")
-              << " released) | pressure "
-              << jsonU64(doc, "control_queue_pressure_permille")
-              << "\xE2\x80\xB0 | load hint "
-              << jsonU64(doc, "control_load_hint_permille")
-              << "\xE2\x80\xB0\n";
+              << " sessions observed\n";
 
     const std::vector<std::uint64_t> rungs =
         jsonArray(doc, "control_tau_rungs");

@@ -31,47 +31,18 @@ HashRing::HashRing(HashRingConfig config) : cfg(config)
 void
 HashRing::addNode(std::uint64_t node)
 {
-    addNode(node, cfg.virtualNodes);
-}
-
-void
-HashRing::addNode(std::uint64_t node, std::size_t point_count)
-{
-    if (point_count == 0)
-        point_count = 1;
     if (!members.insert(node).second)
         return;
-    points.reserve(points.size() + point_count);
-    for (std::size_t replica = 0; replica < point_count; ++replica) {
+    points.reserve(points.size() + cfg.virtualNodes);
+    for (std::size_t replica = 0; replica < cfg.virtualNodes;
+         ++replica) {
         // Chain the mixes so (seed, node, replica) decorrelate even
-        // for small consecutive values of all three. Replica `i` of
-        // a node hashes the same at every weight, so re-weighting
-        // only adds or removes the tail replicas' arcs.
+        // for small consecutive values of all three.
         const std::uint64_t hash =
             mix64(mix64(cfg.seed ^ mix64(node)) ^ replica);
         points.emplace_back(hash, node);
     }
     std::sort(points.begin(), points.end());
-}
-
-bool
-HashRing::setNodeWeight(std::uint64_t node, std::size_t point_count)
-{
-    if (members.count(node) == 0)
-        return false;
-    removeNode(node);
-    addNode(node, point_count);
-    return true;
-}
-
-std::size_t
-HashRing::nodePoints(std::uint64_t node) const
-{
-    std::size_t count = 0;
-    for (const auto &point : points)
-        if (point.second == node)
-            ++count;
-    return count;
 }
 
 bool
@@ -102,12 +73,6 @@ HashRing::ownerOf(std::uint64_t key) const
     if (it == points.end())
         it = points.begin();
     return it->second;
-}
-
-std::vector<std::uint64_t>
-HashRing::nodes() const
-{
-    return std::vector<std::uint64_t>(members.begin(), members.end());
 }
 
 } // namespace hotpath::cluster

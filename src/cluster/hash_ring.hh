@@ -12,7 +12,11 @@
  *
  * All hashing is SplitMix64 seeded from the ring config, so two
  * rings built with the same seed and the same membership agree on
- * every owner - deterministic across processes and runs.
+ * every owner - deterministic across processes and runs. Every
+ * member projects the same virtualNodes points, so ownership is a
+ * function of membership alone; HashRing.PlacementIsPinned
+ * (tests/cluster_test.cc) pins the absolute placements, since a
+ * change to the point hashing would move live sessions.
  */
 
 #ifndef HOTPATH_CLUSTER_HASH_RING_HH
@@ -48,28 +52,6 @@ class HashRing
     /** Add a node (its virtualNodes points); no-op if present. */
     void addNode(std::uint64_t node);
 
-    /**
-     * Add a node with an explicit point count - weighted membership.
-     * The control plane's load hints scale a backend's share of the
-     * ring by granting it more or fewer points than the configured
-     * virtualNodes (a node with half the points owns roughly half
-     * the arc). `point_count` is clamped to at least 1; no-op if the
-     * node is already a member.
-     */
-    void addNode(std::uint64_t node, std::size_t point_count);
-
-    /**
-     * Re-weight a member node to `point_count` points (remove +
-     * re-add; the node's points rehash to the same positions a fresh
-     * weighted add would produce, so two rings that applied the same
-     * weights agree). Returns false if the node is not a member.
-     */
-    bool setNodeWeight(std::uint64_t node, std::size_t point_count);
-
-    /** Points `node` currently projects onto the ring (0 if not a
-     *  member). */
-    std::size_t nodePoints(std::uint64_t node) const;
-
     /** Remove a node; returns false if it was not a member. */
     bool removeNode(std::uint64_t node);
 
@@ -84,9 +66,6 @@ class HashRing
 
     /** The node owning `key`. The ring must not be empty. */
     std::uint64_t ownerOf(std::uint64_t key) const;
-
-    /** Member node ids in ascending order. */
-    std::vector<std::uint64_t> nodes() const;
 
   private:
     HashRingConfig cfg;

@@ -162,21 +162,6 @@ Router::removeBackend(std::uint64_t id)
 }
 
 void
-Router::setBackendWeights(
-    std::vector<std::pair<std::uint64_t, std::uint32_t>>
-        weights_permille)
-{
-    Command command;
-    command.kind = Command::Kind::SetWeights;
-    command.weights = std::move(weights_permille);
-    {
-        std::lock_guard<std::mutex> lock(cmdMu);
-        commands.push_back(std::move(command));
-    }
-    wakeRouter();
-}
-
-void
 Router::wakeRouter()
 {
     if (!wakeup.valid())
@@ -921,34 +906,6 @@ Router::executeCommand(const Command &command)
         publishTopology();
         break;
     }
-    case Command::Kind::SetWeights: {
-        // Load hints from the control plane: scale each hinted
-        // backend's ring share. Only re-weight members the hint
-        // actually changes, so a steady controller posting the same
-        // hints every epoch causes no rehash churn.
-        bool changed = false;
-        for (const auto &[id, permille] : command.weights) {
-            Backend *backend = findBackend(id);
-            if (backend == nullptr || backend->dead ||
-                backend->retiring || !ring.contains(id))
-                continue;
-            std::size_t points =
-                HashRingConfig{}.virtualNodes * permille / 1000;
-            if (points == 0)
-                points = 1;
-            if (ring.nodePoints(id) == points)
-                continue;
-            ring.setNodeWeight(id, points);
-            changed = true;
-            weightUpdates.add();
-        }
-        if (changed) {
-            rehashes.add();
-            rehashSessions();
-            publishTopology();
-        }
-        break;
-    }
     }
 }
 
@@ -1009,7 +966,6 @@ Router::publishTopology()
         row.retiring = backend->retiring;
         row.inFlight = backend->inFlight;
         row.framesSent = backend->framesSent;
-        row.ringPoints = ring.nodePoints(backend->id);
         snapshot.push_back(std::move(row));
     }
     for (const auto &[session, route] : routes) {
@@ -1096,7 +1052,6 @@ Router::stats() const
     out.framesResynced = resynced.get();
     out.resyncBytesSkipped = resyncBytes.get();
     out.rehashes = rehashes.get();
-    out.weightUpdates = weightUpdates.get();
     out.sessionsMigrated = sessionsMigrated.get();
     out.backendReconnects = backendReconnects.get();
     out.failovers = failovers.get();

@@ -23,13 +23,15 @@
  * or to the session's new owner after failover - so every accepted
  * frame is answered exactly once even when a backend dies mid-burst.
  *
- * Session migration: a topology change (addBackend/removeBackend)
- * rebuilds the ring and, for every tracked session whose owner
- * changed, runs the drain-and-rehash protocol: new frames for the
- * session are parked; a FrameKind::SessionState export request goes
- * to the old owner; the snapshot reply is re-encoded as an import
- * frame to the new owner; the import's ack completes the migration
- * and the parked frames flow to the new owner. Predictor history
+ * Session migration: every backend on the ring projects the same
+ * number of points, so sessions move only when membership changes.
+ * A topology change (addBackend/removeBackend) rebuilds the ring
+ * and, for every tracked session whose owner changed, runs the
+ * drain-and-rehash protocol: new frames for the session are parked;
+ * a FrameKind::SessionState export request goes to the old owner;
+ * the snapshot reply is re-encoded as an import frame to the new
+ * owner; the import's ack completes the migration and the parked
+ * frames flow to the new owner. Predictor history
  * (NET counters, fragment cache, sequence cursor) survives the move
  * bit-for-bit - see Engine::exportSession/importSession.
  *
@@ -167,8 +169,6 @@ struct RouterStats
     std::uint64_t resyncBytesSkipped = 0;
     /** Topology rebuilds (add/remove/failover). */
     std::uint64_t rehashes = 0;
-    /** Backend re-weights applied (setBackendWeights load hints). */
-    std::uint64_t weightUpdates = 0;
     /** Sessions whose state completed a migration. */
     std::uint64_t sessionsMigrated = 0;
     /** Backend connections re-established after a break. */
@@ -207,9 +207,6 @@ struct BackendSnapshot
     /** Frames this backend has been sent (routed + replayed +
      *  migration traffic). */
     std::uint64_t framesSent = 0;
-    /** Ring points the backend currently projects (scaled by the
-     *  last applied load-hint weight; 0 while off the ring). */
-    std::size_t ringPoints = 0;
 };
 
 /** The consistent-hash routing frontend; see the file comment. */
@@ -257,23 +254,6 @@ class Router
      * ledger is empty. Unknown ids are ignored.
      */
     void removeBackend(std::uint64_t id);
-
-    /**
-     * Apply per-backend load hints (asynchronous): each (backend id,
-     * weight in permille of nominal) entry re-weights that backend's
-     * share of the ring - its point count becomes
-     * HashRingConfig::virtualNodes * weight / 1000, clamped to at
-     * least 1 - and sessions whose owner changed migrate through the
-     * usual drain-and-rehash protocol. 1000 restores the nominal
-     * share; an overloaded backend hinted down to 500 sheds roughly
-     * half its arc to the rest of the fleet. Unknown, dead or
-     * retiring backend ids are ignored. This is the attachment point
-     * for the adaptive control plane: a controller watching the
-     * backends' control_* stats posts its exported load hints here.
-     */
-    void setBackendWeights(
-        std::vector<std::pair<std::uint64_t, std::uint32_t>>
-            weights_permille);
 
     /**
      * Graceful drain: stop accepting, wait until every accepted
@@ -367,13 +347,10 @@ class Router
         enum class Kind : std::uint8_t
         {
             AddBackend,
-            RemoveBackend,
-            SetWeights
+            RemoveBackend
         } kind = Kind::AddBackend;
         BackendAddress address;
         std::uint64_t id = 0;
-        /** (backend id, permille of nominal) for SetWeights. */
-        std::vector<std::pair<std::uint64_t, std::uint32_t>> weights;
     };
 
     /** Build a Backend (client + per-backend gauge); no connect. */
@@ -513,7 +490,6 @@ class Router
     telemetry::CounterStat resynced{"cluster.frames.resynced"};
     telemetry::CounterStat resyncBytes{"cluster.resync.bytes.skipped"};
     telemetry::CounterStat rehashes{"cluster.rehash.events"};
-    telemetry::CounterStat weightUpdates{"cluster.weight.updates"};
     telemetry::CounterStat sessionsMigrated{"cluster.sessions.migrated"};
     telemetry::CounterStat backendReconnects{
         "cluster.backend.reconnects"};

@@ -25,14 +25,6 @@ constexpr std::array<std::uint64_t, 3> kTauRungs = {8, 64, 1000};
 static_assert(std::is_sorted(kTauRungs.begin(), kTauRungs.end()),
               "tau rungs must ascend");
 
-/** Engage forced shedding when max shard queue occupancy reaches
- *  this permille of capacity. */
-constexpr std::uint32_t kShedOnPermille = 700;
-
-/** Release forced shedding when occupancy falls back below this
- *  permille (the gap is the hysteresis band). */
-constexpr std::uint32_t kShedOffPermille = 300;
-
 /** Retune decisions kept in the in-memory log (oldest dropped
  *  first); the determinism test replays the whole log. */
 constexpr std::size_t kDecisionLogCap = 4096;
@@ -59,28 +51,8 @@ Controller::Controller(engine::Engine &eng) : eng(eng)
             sessionClassName(static_cast<SessionClass>(i)));
 }
 
-std::uint32_t
-Controller::measurePressure() const
-{
-    const engine::EngineStats stats = eng.stats();
-    std::size_t max_depth = 0;
-    for (const std::size_t depth : stats.queueDepth)
-        max_depth = std::max(max_depth, depth);
-    const std::uint64_t permille =
-        static_cast<std::uint64_t>(max_depth) * 1000 /
-        eng.queueCapacityFrames();
-    return static_cast<std::uint32_t>(std::min<std::uint64_t>(
-        permille, 1000));
-}
-
 void
 Controller::step()
-{
-    stepWithLoad(measurePressure());
-}
-
-void
-Controller::stepWithLoad(std::uint32_t pressure_permille)
 {
     std::lock_guard<std::mutex> guard(mu);
     epochCount.add();
@@ -156,20 +128,6 @@ Controller::stepWithLoad(std::uint32_t pressure_permille)
         // first to judge it.
         classifier.forget(sample.session);
     }
-
-    // 4. Queue-pressure response with hysteresis.
-    lastPressure.set(pressure_permille);
-    bool shedding = shedActive.get() != 0;
-    if (!shedding && pressure_permille >= kShedOnPermille) {
-        shedding = true;
-        shedEngagedCount.add();
-        eng.setForcedShedding(true);
-    } else if (shedding && pressure_permille < kShedOffPermille) {
-        shedding = false;
-        shedReleasedCount.add();
-        eng.setForcedShedding(false);
-    }
-    shedActive.set(shedding ? 1 : 0);
 }
 
 std::uint64_t
@@ -197,35 +155,16 @@ Controller::stats() const
         static_cast<std::uint64_t>(observedCount.get());
     for (std::size_t i = 0; i < kSessionClassCount; ++i)
         out.classCounts[i] = classTallies[i].get();
-    out.shedEngaged = shedEngagedCount.get();
-    out.shedReleased = shedReleasedCount.get();
-    out.shedActive = shedActive.get() != 0;
-    out.lastPressurePermille =
-        static_cast<std::uint32_t>(lastPressure.get());
     return out;
-}
-
-std::uint32_t
-Controller::loadHintPermille() const
-{
-    std::lock_guard<std::mutex> guard(mu);
-    return shedActive.get() != 0 ? 500u : 1000u;
 }
 
 void
 Controller::appendStats(std::ostream &os) const
 {
     std::lock_guard<std::mutex> guard(mu);
-    const bool shedding = shedActive.get() != 0;
     os << ",\"control_epoch\":" << epochCount.get()
        << ",\"control_decisions\":" << decisionCount.get()
-       << ",\"control_sessions_observed\":" << observedCount.get()
-       << ",\"control_shed_engaged\":" << shedEngagedCount.get()
-       << ",\"control_shed_released\":" << shedReleasedCount.get()
-       << ",\"control_shed_active\":" << (shedding ? 1 : 0)
-       << ",\"control_queue_pressure_permille\":" << lastPressure.get()
-       << ",\"control_load_hint_permille\":"
-       << (shedding ? 500 : 1000);
+       << ",\"control_sessions_observed\":" << observedCount.get();
     for (std::size_t i = 0; i < kSessionClassCount; ++i)
         os << ",\"control_class_"
            << sessionClassName(static_cast<SessionClass>(i))

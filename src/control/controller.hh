@@ -1,13 +1,12 @@
 /**
  * @file
- * The epoch-driven adaptive controller: self-tuning τ, overload
- * policy and placement hints under live traffic.
+ * The epoch-driven adaptive controller: self-tuning τ under live
+ * traffic.
  *
  * The controller closes the loop the rest of the system leaves open:
- * the engine's prediction delay (τ), its overload response and the
- * cluster router's backend weights are all static configuration, but
- * the traffic they serve is not. Each call to step() is one *control
- * epoch*:
+ * the engine's prediction delay (τ) - the paper's one tuning knob -
+ * is static per-session configuration, but the traffic it serves is
+ * not. Each call to step() is one *control epoch*:
  *
  *   1. snapshot every resident session's counters (one forEach pass,
  *      sorted by session id);
@@ -16,22 +15,18 @@
  *      1000; Engine::retuneSession) - Noisy traffic steps UP to a more
  *      conservative τ (stop promoting junk), PhaseShifting and
  *      HeadChurn traffic steps DOWN to a more reactive τ (re-learn
- *      the new hot paths quickly), Stable and Idle sessions hold;
- *   4. respond to queue pressure with hysteresis: engage forced
- *      load shedding (Engine::setForcedShedding) at 700 permille of
- *      the engine's queue capacity, release below 300;
- *   5. refresh the exported load hint (loadHintPermille) that a
- *      cluster router can feed to Router::setBackendWeights.
+ *      the new hot paths quickly), Stable and Idle sessions hold.
  *
  * Determinism contract: the controller is a pure function of its
- * constants (controller.cc, classifier.cc), the observed engine
- * counters and its own epoch counter. It reads no clock and draws no randomness, so a serial
- * replay of the same traffic with step() called at the same frame
- * boundaries reproduces the identical decision log and - because τ
- * retunes land between frames - the identical predictions,
- * bit-for-bit, at any worker count (tests/control_test.cc pins this;
- * bench/ext_adaptive_tau.cpp exercises it under the adversarial
- * workloads of src/progen/adversarial.hh).
+ * constants (controller.cc, classifier.cc), the observed session
+ * counters and its own epoch counter. It reads no clock, no queue
+ * depth and draws no randomness, so a serial replay of the same
+ * traffic with step() called at the same frame boundaries reproduces
+ * the identical decision log and - because τ retunes land between
+ * frames - the identical predictions, bit-for-bit, at any worker
+ * count (tests/control_test.cc pins this; bench/ext_adaptive_tau.cpp
+ * exercises it under the adversarial workloads of
+ * src/progen/adversarial.hh).
  *
  * After a retune the controller deliberately forgets the session's
  * classifier history: the next epoch re-seeds the baseline under the
@@ -89,14 +84,6 @@ struct ControlStats
     std::uint64_t sessionsObserved = 0;
     /** Classification tallies, indexed by SessionClass. */
     std::uint64_t classCounts[kSessionClassCount] = {};
-    /** Times forced shedding was engaged. */
-    std::uint64_t shedEngaged = 0;
-    /** Times forced shedding was released. */
-    std::uint64_t shedReleased = 0;
-    /** True while forced shedding is active. */
-    bool shedActive = false;
-    /** Queue pressure observed last epoch (permille of capacity). */
-    std::uint32_t lastPressurePermille = 0;
 };
 
 /**
@@ -111,22 +98,10 @@ class Controller
     explicit Controller(engine::Engine &eng);
 
     /**
-     * Run one control epoch against the engine's current queue
-     * depths (reads Engine::stats() for the pressure signal and
-     * Engine::queueCapacityFrames() for its denominator). For
-     * deterministic replay and tests, prefer stepWithLoad() with an
-     * explicit pressure value.
+     * Run one control epoch. Everything it reads comes from the
+     * session counters, which serial replay reproduces exactly.
      */
     void step();
-
-    /**
-     * Run one control epoch with the queue-pressure signal supplied
-     * by the caller (`pressure_permille` = max shard occupancy, in
-     * permille of capacity). This is the deterministic entry point:
-     * everything else the epoch reads comes from the session
-     * counters, which serial replay reproduces exactly.
-     */
-    void stepWithLoad(std::uint32_t pressure_permille);
 
     /** Epochs run so far. */
     std::uint64_t epoch() const;
@@ -138,15 +113,6 @@ class Controller
     ControlStats stats() const;
 
     /**
-     * The load hint a cluster router should weight this backend at:
-     * 1000 (nominal) normally, 500 while forced shedding is active -
-     * an overloaded backend advertises half its ring share so the
-     * consistent-hash router drains new sessions away from it
-     * (Router::setBackendWeights).
-     */
-    std::uint32_t loadHintPermille() const;
-
-    /**
      * Append the controller's state as flat `,"control_*":N` JSON
      * fragments - the hook body for net::Server::setStatsAugmenter,
      * which splices it into the admin /stats document.
@@ -154,10 +120,6 @@ class Controller
     void appendStats(std::ostream &os) const;
 
   private:
-    /** Max shard queue occupancy right now, permille of capacity
-     *  (reads Engine::stats()). */
-    std::uint32_t measurePressure() const;
-
     engine::Engine &eng;
 
     mutable std::mutex mu;
@@ -177,13 +139,7 @@ class Controller
     telemetry::CounterStat decisionCount{"control.decisions"};
     /** Per SessionClass; mirrors into control.class.<name>. */
     telemetry::CounterStat classTallies[kSessionClassCount];
-    telemetry::CounterStat shedEngagedCount{"control.shed.engaged"};
-    telemetry::CounterStat shedReleasedCount{"control.shed.released"};
     telemetry::GaugeStat observedCount{"control.sessions.observed"};
-    /** 1 while forced shedding is engaged. */
-    telemetry::GaugeStat shedActive{"control.shed.active"};
-    /** Permille of queue capacity, as of the last epoch. */
-    telemetry::GaugeStat lastPressure{"control.queue.pressure"};
     /** control.retunes: a documented, registry-only alias of
      *  control.decisions (nullptr when telemetry is not attached). */
     telemetry::Counter *tmRetunes = nullptr;

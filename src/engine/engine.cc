@@ -496,11 +496,7 @@ Engine::pushOrShed(ShardQueue &queue, QueuedFrame &frame)
         if (prev == DegradationMode::Normal &&
             mode == DegradationMode::Degraded && tmOverloadSpikes)
             tmOverloadSpikes->add(1);
-        // Control-plane override: the adaptive controller saw
-        // sustained queue pressure across epochs and pre-armed
-        // shedding - skip the spike detector's warm-up.
-        if (pushed || (mode != DegradationMode::Degraded &&
-                       !forcedShed.load(std::memory_order_relaxed)))
+        if (pushed || mode != DegradationMode::Degraded)
             return pushed;
         // Degraded: admit the fresh frame by shedding the oldest
         // queued one (stale profile data is the cheapest loss). The

@@ -56,10 +56,10 @@
  * worker drains room (counted in engine.backpressure.waits). This
  * bounds memory under overload instead of dropping or buffering
  * without limit. Under OverloadPolicy::DropOldest a saturated shard
- * that its spike detector judges degraded (or that forced shedding
- * covers) does not block: the producer pops the *oldest* queued frame
- * from the same ring, completes it unapplied on its own thread and
- * pushes its frame - so a stalled worker never stalls its producers.
+ * that its spike detector judges degraded does not block: the
+ * producer pops the *oldest* queued frame from the same ring,
+ * completes it unapplied on its own thread and pushes its frame - so
+ * a stalled worker never stalls its producers.
  * Such a shard's frames never run inline: the spike detector counts
  * every submit.
  *
@@ -520,7 +520,7 @@ class Engine
      */
     std::size_t evictIdleSessions(std::uint64_t max_age);
 
-    // Adaptive control plane hooks (src/control) -------------------
+    // Adaptive control plane hook (src/control) --------------------
 
     /**
      * Retune one resident session's prediction delay (τ) online.
@@ -532,26 +532,6 @@ class Engine
      */
     bool retuneSession(std::uint64_t session_id,
                        std::uint64_t prediction_delay);
-
-    /**
-     * Force overload shedding on (or back to automatic with false) -
-     * the adaptive controller's queue-pressure response. Only
-     * meaningful under OverloadPolicy::DropOldest: while forced, a
-     * saturated shard sheds its oldest queued frame immediately
-     * instead of waiting for the spike detector to judge the
-     * saturation sustained. Under OverloadPolicy::Block the flag is
-     * recorded but has no effect: Block never sheds.
-     */
-    void setForcedShedding(bool on)
-    {
-        forcedShed.store(on, std::memory_order_relaxed);
-    }
-
-    /** True while forced shedding is active. */
-    bool forcedShedding() const
-    {
-        return forcedShed.load(std::memory_order_relaxed);
-    }
 
     /**
      * Convenience producer: encode `count` events as one frame for
@@ -569,14 +549,6 @@ class Engine
 
     /** True when running in serial fallback mode (no workers). */
     bool serial() const { return workers.empty() && cfg.workerThreads == 0; }
-
-    /** Frames each shard ring really holds: EngineConfig's
-     *  queueCapacityFrames rounded up to a power of two. Every
-     *  queue depth in EngineStats is at most this. */
-    std::size_t queueCapacityFrames() const
-    {
-        return cfg.queueCapacityFrames;
-    }
 
     /** Aggregate accounting from relaxed atomic reads; takes no
      *  stripe lock (only each DropOldest shard's shed lock, to read
@@ -801,9 +773,9 @@ class Engine
                             bool may_run_inline = true);
 
     /** DropOldest enqueue: push `frame`, feeding the shard's spike
-     *  detector whether the ring was full. A full, degraded (or
-     *  forced-shedding) shard pops its oldest frames until the push
-     *  succeeds and completes them unapplied on this thread. Returns
+     *  detector whether the ring was full. A full, degraded shard
+     *  pops its oldest frames until the push succeeds and completes
+     *  them unapplied on this thread. Returns
      *  false - `frame` intact - when the ring was full and nothing
      *  was shed. */
     bool pushOrShed(ShardQueue &queue, QueuedFrame &frame);
@@ -852,9 +824,6 @@ class Engine
     std::thread watchdog;
 
     std::atomic<bool> stopping{false};
-    /** Control-plane override: shed on saturation without waiting
-     *  for the spike detector (DropOldest shards only). */
-    std::atomic<bool> forcedShed{false};
     std::atomic<bool> warnedReject{false};
     std::atomic<bool> warnedStall{false};
     std::atomic<std::uint64_t> pendingFrames{0};

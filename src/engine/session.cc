@@ -28,7 +28,7 @@ sessionCacheConfig(const SessionConfig &config)
 
 Session::Session(std::uint64_t id, const SessionConfig &config)
     : sessionId(id), cfg(config),
-      predictor(config.predictionDelay, config.reArm),
+      predictor(config.predictionDelay),
       fragments(sessionCacheConfig(config))
 {
 }

@@ -35,9 +35,6 @@ struct SessionConfig
     /** NET prediction delay (head executions before a prediction). */
     std::uint64_t predictionDelay = 50;
 
-    /** Re-arm head counters after each prediction (NET default). */
-    bool reArm = true;
-
     /** Per-session fragment cache capacity in instructions (0 = no
      *  cap). */
     std::uint64_t cacheCapacityInstr = 0;

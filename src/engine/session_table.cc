@@ -241,20 +241,6 @@ ShardedSessionTable::forEach(ConstSessionFn fn) const
     }
 }
 
-bool
-ShardedSessionTable::erase(std::uint64_t session_id)
-{
-    Shard &shard = *shards[shardOf(session_id)];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    const auto it = shard.sessions.find(session_id);
-    if (it == shard.sessions.end())
-        return false;
-    shard.lru.erase(it->second.lruPos);
-    shard.sessions.erase(it);
-    live.add(-1);
-    return true;
-}
-
 std::size_t
 ShardedSessionTable::evictIdle(std::uint64_t max_age)
 {

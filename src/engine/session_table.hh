@@ -198,9 +198,6 @@ class ShardedSessionTable
     /** Visit every resident session (shard by shard, under locks). */
     void forEach(ConstSessionFn fn) const;
 
-    /** Drop one session; returns true if it was resident. */
-    bool erase(std::uint64_t session_id);
-
     /**
      * Retire every session whose last activity is more than `max_age`
      * activity ticks in the past, and return how many were evicted.

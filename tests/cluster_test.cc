@@ -260,6 +260,29 @@ TEST(HashRing, MinimalDisruptionOnAddAndRemove)
     EXPECT_FALSE(ring.removeNode(3));
 }
 
+TEST(HashRing, PlacementIsPinned)
+{
+    // FNV-1a over ownerOf(0..9999) on the default ring with nodes
+    // {0, 1, 2}, then again after removing node 1. The router tests
+    // compare against a mirror ring built by this same code, so this
+    // is the test that shows a change to the point hashing moved no
+    // live session.
+    cluster::HashRing ring;
+    for (std::uint64_t node = 0; node < 3; ++node)
+        ring.addNode(node);
+    const auto digest = [&ring] {
+        std::uint64_t h = 1469598103934665603ull;
+        for (std::uint64_t key = 0; key < 10000; ++key) {
+            h ^= ring.ownerOf(key);
+            h *= 1099511628211ull;
+        }
+        return h;
+    };
+    EXPECT_EQ(digest(), 0x675e2f7a071c34e6ull);
+    ASSERT_TRUE(ring.removeNode(1));
+    EXPECT_EQ(digest(), 0x37b28fd63818dff9ull);
+}
+
 // --- SessionState on the wire -------------------------------------
 
 TEST(SessionStateWire, SnapshotRoundTripsByteForByte)

@@ -2,19 +2,15 @@
  * @file
  * Adaptive control plane tests: classifier rule coverage over
  * hand-built samples, the controller's τ ladder moves against live
- * engine sessions, the queue-pressure shed hysteresis, the exported
- * load hint, the admin-stats fragment, and the determinism contract
- * (same traffic + same step schedule => identical decision logs and
- * predictions at any worker count; the engine-tsan CI job runs this
- * file under ThreadSanitizer).
+ * engine sessions, the admin-stats fragment, and the determinism
+ * contract (same traffic + same step schedule => identical decision
+ * logs and predictions at any worker count; the engine-tsan CI job
+ * runs this file under ThreadSanitizer).
  */
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -22,7 +18,6 @@
 #include "control/classifier.hh"
 #include "control/controller.hh"
 #include "engine/engine.hh"
-#include "engine/wire_format.hh"
 #include "progen/adversarial.hh"
 
 using namespace hotpath;
@@ -200,7 +195,7 @@ TEST(Controller, NoisySessionStepsUpTheLadder)
             frame.push_back(e);
         }
         eng.submitEvents(4, sequence++, frame.data(), frame.size());
-        ctl.stepWithLoad(0);
+        ctl.step();
     }
 
     const auto log = ctl.decisions();
@@ -225,7 +220,7 @@ TEST(Controller, ChurningSessionStepsDownTheLadder)
     std::uint64_t sequence = 0;
     for (int epoch = 0; epoch < 2; ++epoch) {
         feed(eng, 9, sequence, stream, 2000);
-        ctl.stepWithLoad(0);
+        ctl.step();
     }
 
     const auto log = ctl.decisions();
@@ -248,104 +243,17 @@ TEST(Controller, BottomRungHolds)
     std::uint64_t sequence = 0;
     for (int epoch = 0; epoch < 4; ++epoch) {
         feed(eng, 9, sequence, stream, 2000);
-        ctl.stepWithLoad(0);
+        ctl.step();
     }
     EXPECT_TRUE(ctl.decisions().empty());
     EXPECT_EQ(ctl.epoch(), 4u);
-}
-
-// --- Queue-pressure shed hysteresis -------------------------------
-
-TEST(Controller, ShedHysteresisDrivesForcedShedding)
-{
-    engine::Engine eng(controlEngineConfig(0, 64));
-    Controller ctl(eng);
-    EXPECT_FALSE(eng.forcedShedding());
-    EXPECT_EQ(ctl.loadHintPermille(), 1000u);
-
-    ctl.stepWithLoad(700); // at the on-threshold: engage
-    EXPECT_TRUE(eng.forcedShedding());
-    EXPECT_EQ(ctl.loadHintPermille(), 500u);
-
-    ctl.stepWithLoad(400); // inside the hysteresis band: hold
-    EXPECT_TRUE(eng.forcedShedding());
-
-    ctl.stepWithLoad(299); // below the off-threshold: release
-    EXPECT_FALSE(eng.forcedShedding());
-    EXPECT_EQ(ctl.loadHintPermille(), 1000u);
-
-    const ControlStats stats = ctl.stats();
-    EXPECT_EQ(stats.shedEngaged, 1u);
-    EXPECT_EQ(stats.shedReleased, 1u);
-    EXPECT_FALSE(stats.shedActive);
-    EXPECT_EQ(stats.lastPressurePermille, 299u);
-}
-
-TEST(Controller, PressureIsMeasuredAgainstTheEnginesQueueCapacity)
-{
-    // An 8-frame ring filled behind a worker held in frame 0's
-    // callback is at 1000 permille of its engine's capacity, so one
-    // measured epoch must engage shedding. (Against a fixed 256-frame
-    // capacity the same 8 frames read 31 permille.)
-    engine::EngineConfig cfg = controlEngineConfig(1, 64);
-    cfg.queueCapacityFrames = 8;
-    engine::Engine eng(cfg);
-    Controller ctl(eng);
-
-    std::atomic<bool> started{false};
-    std::atomic<bool> release{false};
-    eng.setFrameCallback([&](const engine::FrameOutcome &outcome) {
-        if (outcome.sequence != 0)
-            return;
-        started.store(true, std::memory_order_release);
-        while (!release.load(std::memory_order_acquire))
-            std::this_thread::yield();
-    });
-
-    AdversarialConfig wcfg;
-    AdversarialStream stream(AdversarialKind::HeadChurn, wcfg);
-    std::vector<PathEvent> events;
-    std::vector<std::uint8_t> concat;
-    std::vector<std::size_t> offsets;
-    for (std::uint64_t seq = 0; seq <= 8; ++seq) {
-        events.clear();
-        for (int i = 0; i < 16; ++i)
-            events.push_back(stream.next());
-        offsets.push_back(concat.size());
-        wire::appendEventFrame(concat, 5, seq, events);
-    }
-    offsets.push_back(concat.size());
-    const auto shared =
-        std::make_shared<const std::vector<std::uint8_t>>(
-            std::move(concat));
-    const auto submit = [&](std::size_t f) {
-        return eng.trySubmitShared(shared, offsets[f],
-                                   offsets[f + 1] - offsets[f], 0, 0,
-                                   /*may_run_inline=*/false);
-    };
-    ASSERT_EQ(submit(0), engine::SubmitStatus::Accepted);
-    while (!started.load(std::memory_order_acquire))
-        std::this_thread::yield();
-    for (std::size_t f = 1; f <= 8; ++f)
-        EXPECT_EQ(submit(f), engine::SubmitStatus::Accepted)
-            << "frame " << f;
-
-    ctl.step();
-    release.store(true, std::memory_order_release);
-    eng.drain();
-
-    const ControlStats stats = ctl.stats();
-    EXPECT_EQ(stats.lastPressurePermille, 1000u);
-    EXPECT_EQ(stats.shedEngaged, 1u);
-    EXPECT_TRUE(eng.forcedShedding());
-    eng.shutdown();
 }
 
 TEST(Controller, AppendStatsEmitsFlatJsonFragments)
 {
     engine::Engine eng(controlEngineConfig(0, 64));
     Controller ctl(eng);
-    ctl.stepWithLoad(750);
+    ctl.step();
 
     std::ostringstream os;
     ctl.appendStats(os);
@@ -355,10 +263,6 @@ TEST(Controller, AppendStatsEmitsFlatJsonFragments)
     ASSERT_FALSE(out.empty());
     EXPECT_EQ(out[0], ',');
     EXPECT_NE(out.find("\"control_epoch\":1"), std::string::npos);
-    EXPECT_NE(out.find("\"control_shed_active\":1"),
-              std::string::npos);
-    EXPECT_NE(out.find("\"control_load_hint_permille\":500"),
-              std::string::npos);
     EXPECT_NE(out.find("\"control_class_stable\":"),
               std::string::npos);
     EXPECT_NE(out.find("\"control_tau_rungs\":[8,64,1000]"),
@@ -380,7 +284,7 @@ TEST(Controller, AppendStatsReportsLadderOccupancyAndLastDecision)
     std::uint64_t sequence = 0;
     for (int epoch = 0; epoch < 2; ++epoch) {
         feed(eng, 9, sequence, stream, 2000);
-        ctl.stepWithLoad(0);
+        ctl.step();
     }
 
     std::ostringstream os;
@@ -425,7 +329,7 @@ TEST(Controller, DecisionsAndPredictionsDeterministicAcrossWorkers)
             for (std::size_t i = 0; i < streams.size(); ++i)
                 feed(eng, i + 1, sequences[i], streams[i], 1000);
             eng.drain();
-            ctl.stepWithLoad(0);
+            ctl.step();
         }
         eng.drain();
 

@@ -443,15 +443,21 @@ TEST(EngineResilience,
      ForcedSheddingDropsTheOldestQueuedFramesWithoutBlocking)
 {
     // The worker is held inside frame 0's completion callback while
-    // the test thread submits frames 1-10 into a 4-frame queue. With
-    // shedding forced, no submit may block behind the stalled worker:
-    // each one past the bound sheds the oldest queued frame, which
-    // completes unapplied on the submitting thread.
+    // the test thread submits frames 1-10 into a 4-frame queue. The
+    // spike detector judges every submit on its own (one-event
+    // windows, no warm-up, one full push is a spike), so the first
+    // push that finds the ring full degrades the shard, and no submit
+    // may block behind the stalled worker: each one past the bound
+    // sheds the oldest queued frame, which completes unapplied on
+    // the submitting thread.
     EngineConfig config;
     config.workerThreads = 1;
     config.queueCapacityFrames = 4;
     config.maxBatchFrames = 4;
     config.overloadPolicy = OverloadPolicy::DropOldest;
+    config.degradation.spike.windowEvents = 1;
+    config.degradation.spike.warmupWindows = 0;
+    config.degradation.spike.spikeFloor = 1;
 
     struct Completion
     {
@@ -466,7 +472,6 @@ TEST(EngineResilience,
     std::vector<Completion> completions;
 
     Engine eng(config);
-    eng.setForcedShedding(true);
     eng.setFrameCallback([&](const FrameOutcome &outcome) {
         if (outcome.sequence == 0) {
             started.store(true, std::memory_order_release);

@@ -18,13 +18,11 @@
 
 #include <algorithm>
 #include <cctype>
-#include <chrono>
 #include <cstdint>
 #include <iterator>
 #include <set>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -134,14 +132,9 @@ goldenInstruments()
         // Per-backend in-flight gauge (normalized index).
         "cluster.backend.N.inflight",
         "cluster.failovers",
-        "cluster.weight.updates",
         "control.epochs",
         "control.decisions",
         "control.retunes",
-        "control.shed.engaged",
-        "control.shed.released",
-        "control.shed.active",
-        "control.queue.pressure",
         "control.sessions.observed",
     };
     for (std::size_t c = 0; c < control::kSessionClassCount; ++c)
@@ -474,14 +467,6 @@ TEST(ObservabilityStats, EveryInstrumentedScalarMatchesItsInstrument)
     ASSERT_TRUE(viaRouter.awaitResponses(12, replies));
     sendAndAwait(server.port(), direct, 2);
 
-    // A load hint re-weights the only backend: a rehash, no move.
-    router.setBackendWeights({{0, 500}});
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(5);
-    while (router.stats().weightUpdates == 0 &&
-           std::chrono::steady_clock::now() < deadline)
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-
     router.drain();
     server.drain();
 
@@ -564,7 +549,6 @@ TEST(ObservabilityStats, EveryInstrumentedScalarMatchesItsInstrument)
             {"cluster.frames.resynced", rs.framesResynced},
             {"cluster.resync.bytes.skipped", rs.resyncBytesSkipped},
             {"cluster.rehash.events", rs.rehashes},
-            {"cluster.weight.updates", rs.weightUpdates},
             {"cluster.sessions.migrated", rs.sessionsMigrated},
             {"cluster.backend.reconnects", rs.backendReconnects},
             {"cluster.failovers", rs.failovers},
@@ -584,7 +568,6 @@ TEST(ObservabilityStats, EveryInstrumentedScalarMatchesItsInstrument)
             << name;
     EXPECT_EQ(rs.framesIn, 12u);
     EXPECT_EQ(rs.framesResynced, 1u);
-    EXPECT_EQ(rs.weightUpdates, 1u);
 
     router.stop();
     server.stop();
