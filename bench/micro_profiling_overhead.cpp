@@ -220,9 +220,8 @@ BENCHMARK(BM_WireEncode);
 // pays. Items are events.
 
 static void
-BM_MaterializeStream(benchmark::State &state)
+materializeRow(benchmark::State &state, const CalibratedWorkload &workload)
 {
-    const CalibratedWorkload workload = sharedWorkload();
     std::size_t events = 0;
     for (auto _ : state) {
         const std::vector<PathEvent> stream =
@@ -235,7 +234,25 @@ BM_MaterializeStream(benchmark::State &state)
     state.SetItemsProcessed(
         static_cast<std::int64_t>(state.iterations() * events));
 }
+
+static void
+BM_MaterializeStream(benchmark::State &state)
+{
+    materializeRow(state, sharedWorkload());
+}
 BENCHMARK(BM_MaterializeStream)->Unit(benchmark::kMillisecond);
+
+/** The sampler over gcc's 36,738 paths, where the count tree is
+ *  deep enough to matter (perl has 2,776). */
+static void
+BM_MaterializeStreamWide(benchmark::State &state)
+{
+    WorkloadConfig config;
+    config.flowScale = 1e-4;
+    config.seed = gSeed;
+    materializeRow(state, CalibratedWorkload(specTarget("gcc"), config));
+}
+BENCHMARK(BM_MaterializeStreamWide)->Unit(benchmark::kMillisecond);
 
 /** A whole-stream encode, 512-event frames. */
 static void

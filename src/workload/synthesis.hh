@@ -23,6 +23,7 @@
 #ifndef HOTPATH_WORKLOAD_SYNTHESIS_HH
 #define HOTPATH_WORKLOAD_SYNTHESIS_HH
 
+#include <array>
 #include <vector>
 
 #include "paths/path_event.hh"
@@ -150,6 +151,72 @@ std::vector<std::uint64_t> buildZipfTier(std::size_t n,
                                          std::uint64_t sum,
                                          std::uint64_t max_freq,
                                          double skew = 1.1);
+
+/**
+ * The stream draw's two kernels (exposed for the property tests).
+ *
+ * PrefixCountTree holds the executions each path has left. Its leaves
+ * are the per-path counts and each upper level holds the sums of
+ * kFanOut consecutive nodes of the level below, every level padded
+ * with zeros to whole groups, so a draw scans at most kFanOut
+ * contiguous sums per level: six 64-byte scans for ijpeg's 62,125
+ * paths, where a binary Fenwick walk makes 16 dependent scattered
+ * loads.
+ */
+class PrefixCountTree
+{
+  public:
+    static constexpr std::size_t kFanOut = 8;
+
+    explicit PrefixCountTree(const std::vector<std::uint64_t> &counts);
+
+    /** The count left at `leaf`. */
+    std::uint64_t count(std::size_t leaf) const { return nodes[leaf]; }
+
+    /** Take `amount` (at most count(leaf)) from `leaf`. */
+    void subtract(std::size_t leaf, std::uint64_t amount);
+
+    /**
+     * The leaf i with S(i) <= target < S(i+1), where S(i) sums the
+     * counts of leaves 0..i-1; a leaf at zero is never returned. The
+     * target must be below the sum of all counts.
+     */
+    std::size_t findPrefix(std::uint64_t target) const;
+
+  private:
+    /** Every level, leaves first. */
+    std::vector<std::uint64_t> nodes;
+    /** Offset of each level in `nodes`, leaves (0) first. */
+    std::vector<std::size_t> levelStart;
+};
+
+/**
+ * Geometric burst lengths with a given mean: a uniform u in [0, 1)
+ * maps to 1 + floor(log1p(-u) / log_keep), log_keep = log1p(-1/mean).
+ * That run is 1 + the number of bounds b_k = -expm1((k+1) log_keep)
+ * at or below u, so the per-draw log1p is needed only for u within
+ * kGuard of a bound, where the formula's rounding could decide, or
+ * past the last bound. Every length equals the formula's bit for bit.
+ */
+class BurstLength
+{
+  public:
+    static constexpr std::size_t kBounds = 32;
+    static constexpr double kGuard = 1e-9;
+
+    explicit BurstLength(double mean_run_length);
+
+    /** True when every burst is one long (mean <= 1): draw no u. */
+    bool fixed() const { return isFixed; }
+
+    /** The burst length for `u`. */
+    std::uint64_t fromUniform(double u) const;
+
+  private:
+    bool isFixed;
+    double logKeep;
+    std::array<double, kBounds> bounds{};
+};
 
 } // namespace hotpath
 

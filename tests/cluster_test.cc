@@ -6,7 +6,9 @@
  * property for arbitrary event suffixes, and the router end to end
  * over loopback - byte-identity with a single-server run, live
  * session migration on scale-up and drain-out, deterministic
- * failover with every accepted frame answered exactly once, the
+ * failover with every accepted frame answered exactly once (a
+ * killed backend, a hung one past the reply deadline, and a hung one
+ * whose full socket stalls the loop while others answer), the
  * zero-backend synthesis path, and the router's client framing
  * (resync past corrupt bytes, an input cap that counts only an
  * incomplete tail, no busy loop on a half-closed client).
@@ -169,12 +171,12 @@ testRouterConfig(const Fleet &fleet)
     return config;
 }
 
-/** A ring mirroring the router's (the default seed and points),
- *  used to predict which backend owns which session. */
+/** A ring mirroring the router's, used to predict which backend
+ *  owns which session. */
 cluster::HashRing
 mirrorRing(std::initializer_list<std::uint64_t> ids)
 {
-    cluster::HashRing ring(cluster::HashRingConfig{});
+    cluster::HashRing ring;
     for (std::uint64_t id : ids)
         ring.addNode(id);
     return ring;
@@ -186,10 +188,8 @@ mirrorRing(std::initializer_list<std::uint64_t> ids)
 
 TEST(HashRing, DeterministicAcrossInstancesAndInsertionOrder)
 {
-    cluster::HashRingConfig cfg;
-    cfg.seed = 0x5eed;
-    cluster::HashRing forward(cfg);
-    cluster::HashRing backward(cfg);
+    cluster::HashRing forward;
+    cluster::HashRing backward;
     for (std::uint64_t node : {0ull, 1ull, 2ull, 3ull, 4ull})
         forward.addNode(node);
     for (std::uint64_t node : {4ull, 2ull, 0ull, 3ull, 1ull})
@@ -198,17 +198,6 @@ TEST(HashRing, DeterministicAcrossInstancesAndInsertionOrder)
     for (std::uint64_t key = 0; key < 4096; ++key)
         ASSERT_EQ(forward.ownerOf(key), backward.ownerOf(key))
             << "key " << key;
-
-    // A different seed produces a genuinely different map.
-    cfg.seed = 0x5eee;
-    cluster::HashRing reseeded(cfg);
-    for (std::uint64_t node : {0ull, 1ull, 2ull, 3ull, 4ull})
-        reseeded.addNode(node);
-    std::size_t moved = 0;
-    for (std::uint64_t key = 0; key < 4096; ++key)
-        if (forward.ownerOf(key) != reseeded.ownerOf(key))
-            ++moved;
-    EXPECT_GT(moved, 0u);
 }
 
 TEST(HashRing, SpreadsKeysAcrossAllNodes)
@@ -987,6 +976,184 @@ TEST(ClusterRouter, FailoverAnswersEveryFrameExactlyOnce)
     EXPECT_EQ(stats.responsesDropped, 0u);
     EXPECT_EQ(stats.inFlightTotal, 0u);
     EXPECT_EQ(stats.parkedFrames, 0u);
+}
+
+TEST(ClusterRouter, HungBackendFailsOverAfterTheReplyDeadline)
+{
+    // Backend 1 accepts its connection and never reads or answers,
+    // as a hung process would, so no read error ever reports it.
+    // After the reply deadline its sessions must move to backend 0
+    // and its ledger replay there: every frame is answered exactly
+    // once by a real backend, and stop() does not wait out
+    // drainTimeoutMs.
+    constexpr std::size_t kSessions = 8;
+    Fleet fleet(1);
+    std::uint16_t hungPort = 0;
+    const net::Fd hung = net::listenTcp("127.0.0.1", 0, &hungPort);
+    ASSERT_TRUE(hung.valid());
+    cluster::RouterConfig cfg = testRouterConfig(fleet);
+    cfg.backends.push_back({"127.0.0.1", hungPort});
+    cfg.drainTimeoutMs = 30'000;
+    cluster::Router router(cfg);
+    ASSERT_TRUE(router.start());
+    const net::Fd accepted(::accept(hung.get(), nullptr, nullptr));
+    ASSERT_TRUE(accepted.valid());
+
+    const cluster::HashRing ring = mirrorRing({0, 1});
+    std::size_t onHung = 0;
+    for (std::uint64_t session = 1; session <= kSessions; ++session)
+        onHung += ring.ownerOf(session) == 1 ? 1 : 0;
+    ASSERT_GT(onHung, 0u);
+    ASSERT_LT(onHung, kSessions);
+
+    net::ClientConfig clientCfg;
+    clientCfg.port = router.port();
+    clientCfg.responseTimeoutMs = 10000;
+    net::Client client(clientCfg);
+    ASSERT_TRUE(client.connect());
+    const auto start = std::chrono::steady_clock::now();
+    std::size_t sent = 0;
+    for (std::uint64_t session = 1; session <= kSessions; ++session) {
+        for (const auto &frame : makeFrames(session, 0, 4, 32)) {
+            ASSERT_TRUE(client.sendFrame(frame.data(), frame.size()));
+            ++sent;
+        }
+    }
+    std::vector<net::PredictionReply> replies;
+    ASSERT_TRUE(client.awaitResponses(sent, replies));
+    EXPECT_EQ(replies.size(), sent);
+    expectUniqueReplies(replies);
+
+    router.drain();
+    const cluster::RouterStats stats = router.stats();
+    router.stop();
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    EXPECT_LT(elapsed, std::chrono::milliseconds(cfg.drainTimeoutMs / 3))
+        << "the hung backend held the router until the drain timeout";
+    EXPECT_EQ(stats.failovers, 1u);
+    EXPECT_EQ(stats.backendsLive, 1u);
+    EXPECT_EQ(stats.framesIn, sent);
+    EXPECT_EQ(stats.responsesOut, sent);
+    EXPECT_EQ(stats.responsesSynthesized, 0u);
+    EXPECT_EQ(stats.responsesDropped, 0u);
+    EXPECT_EQ(stats.inFlightTotal, 0u);
+}
+
+TEST(ClusterRouter, HungBackendStallingTheLoopIsTheOnlyOneFailedOver)
+{
+    // Backend 2 is hung. Frames for a session it owns fill its
+    // socket, so the router's send blocks for the client's send
+    // timeout (5 s), and the whole loop with it. Backend 1, played by
+    // the test, owes a reply when the stall begins and answers during
+    // it; nobody reads that reply until the send gives up. The reply
+    // deadline counts wall time, so the router must read backend 1's
+    // socket before judging it: backend 1 stays live and only the
+    // hung backend fails over. That one is failed over, not
+    // reconnected (its listener would accept again, and the replay
+    // would block the loop as long once more), and its frames replay
+    // on backend 0, which answers them all.
+    constexpr std::size_t kFrames = 16;
+    Fleet fleet(1);
+    std::uint16_t answeringPort = 0;
+    const net::Fd answering =
+        net::listenTcp("127.0.0.1", 0, &answeringPort);
+    ASSERT_TRUE(answering.valid());
+    std::uint16_t hungPort = 0;
+    const net::Fd hung = net::listenTcp("127.0.0.1", 0, &hungPort);
+    ASSERT_TRUE(hung.valid());
+    cluster::RouterConfig cfg = testRouterConfig(fleet);
+    cfg.backends.push_back({"127.0.0.1", answeringPort});
+    cfg.backends.push_back({"127.0.0.1", hungPort});
+    cluster::Router router(cfg);
+    ASSERT_TRUE(router.start());
+    const net::Fd backend(::accept(answering.get(), nullptr, nullptr));
+    ASSERT_TRUE(backend.valid());
+    const net::Fd accepted(::accept(hung.get(), nullptr, nullptr));
+    ASSERT_TRUE(accepted.valid());
+
+    // One session on backend 1, and one on the hung backend that
+    // moves to backend 0 once the hung one is gone.
+    const cluster::HashRing ring = mirrorRing({0, 1, 2});
+    const cluster::HashRing survivors = mirrorRing({0, 1});
+    std::uint64_t answered = 1;
+    while (ring.ownerOf(answered) != 1)
+        ++answered;
+    std::uint64_t stalled = 1;
+    while (ring.ownerOf(stalled) != 2 || survivors.ownerOf(stalled) != 0)
+        ++stalled;
+
+    // About 11 MB of wide events (about 21 encoded bytes each, over
+    // 64 heads so the predictor stays quiet): far more than the
+    // kernel's socket buffers hold by default.
+    std::vector<std::vector<std::uint8_t>> frames(kFrames);
+    std::uint64_t x = 0x9e3779b97f4a7c15ull;
+    const auto next32 = [&x] {
+        x = x * 6364136223846793005ull + 1442695040888963407ull;
+        return static_cast<std::uint32_t>(x >> 32);
+    };
+    for (std::size_t f = 0; f < kFrames; ++f) {
+        std::vector<PathEvent> events(32 * 1024);
+        for (PathEvent &event : events) {
+            event.path = next32();
+            event.head = next32() % 64;
+            event.blocks = next32();
+            event.branches = next32();
+            event.instructions = next32();
+        }
+        wire::appendEventFrame(frames[f], stalled, f, events);
+    }
+
+    net::ClientConfig clientCfg;
+    clientCfg.port = router.port();
+    clientCfg.responseTimeoutMs = 60'000;
+    net::Client client(clientCfg);
+    ASSERT_TRUE(client.connect());
+    const auto owed = makeFrames(answered, 0, 1, 32).front();
+    ASSERT_TRUE(client.sendFrame(owed.data(), owed.size()));
+    std::vector<std::uint8_t> received(owed.size());
+    ASSERT_EQ(::recv(backend.get(), received.data(), received.size(),
+                     MSG_WAITALL),
+              static_cast<ssize_t>(received.size()));
+
+    // Backend 1 answers 2 s from now: after the frames below have
+    // filled the hung socket, and long before the send gives up.
+    ssize_t answer = 0;
+    std::jthread answerer([&backend, &answer, answered] {
+        std::this_thread::sleep_for(std::chrono::seconds(2));
+        std::vector<std::uint8_t> reply;
+        wire::appendPredictionFrame(reply, answered, 0, nullptr, 0);
+        answer = ::send(backend.get(), reply.data(), reply.size(), 0);
+    });
+    const auto start = std::chrono::steady_clock::now();
+    for (const auto &frame : frames)
+        ASSERT_TRUE(client.sendFrame(frame.data(), frame.size()));
+    std::vector<net::PredictionReply> replies;
+    ASSERT_TRUE(client.awaitResponses(1 + kFrames, replies));
+    EXPECT_GE(std::chrono::steady_clock::now() - start,
+              std::chrono::milliseconds(
+                  net::ClientConfig{}.responseTimeoutMs))
+        << "the hung backend's socket never filled, so no send "
+           "blocked";
+    expectUniqueReplies(replies);
+    answerer.join();
+    EXPECT_GT(answer, 0);
+
+    router.drain();
+    const cluster::RouterStats stats = router.stats();
+    const std::vector<cluster::BackendSnapshot> topology =
+        router.topology();
+    router.stop();
+    EXPECT_EQ(stats.failovers, 1u);
+    EXPECT_EQ(stats.backendReconnects, 0u)
+        << "the hung backend was reconnected and replayed to";
+    ASSERT_EQ(topology.size(), 3u);
+    EXPECT_TRUE(topology[0].alive);
+    EXPECT_TRUE(topology[1].alive)
+        << "the backend that answered during the stall failed over";
+    EXPECT_FALSE(topology[2].alive);
+    EXPECT_EQ(stats.responsesOut, 1 + kFrames);
+    EXPECT_EQ(stats.responsesSynthesized, 0u);
+    EXPECT_EQ(stats.inFlightTotal, 0u);
 }
 
 TEST(ClusterRouter, ZeroBackendsSynthesizesEmptyReplies)

@@ -8,7 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <iterator>
+#include <numeric>
 #include <unordered_set>
 
 #include "metrics/oracle.hh"
@@ -26,6 +29,38 @@ smallConfig()
     WorkloadConfig config;
     config.flowScale = 1e-4; // keep unit tests fast
     return config;
+}
+
+/** FNV-1a over every event field, continuing from `h`. */
+std::uint64_t
+streamDigest(const std::vector<PathEvent> &stream,
+             std::uint64_t h = 1469598103934665603ull)
+{
+    const auto mix = [&h](std::uint64_t v) {
+        h ^= v;
+        h *= 1099511628211ull;
+    };
+    for (const PathEvent &e : stream) {
+        mix(e.path);
+        mix(e.head);
+        mix(e.blocks);
+        mix(e.branches);
+        mix(e.instructions);
+    }
+    return h;
+}
+
+/** The reference burst length: the log1p formula BurstLength must
+ *  match, evaluated on every burst. */
+std::uint64_t
+formulaRunLength(double u, double mean_run_length)
+{
+    const double log_keep = std::log1p(-1.0 / mean_run_length);
+    double extra = std::log1p(-u) / log_keep;
+    if (!(extra >= 0.0))
+        extra = 0.0;
+    extra = std::min(extra, 1e9);
+    return 1 + static_cast<std::uint64_t>(extra);
 }
 
 } // namespace
@@ -228,31 +263,145 @@ TEST(CalibratedWorkloadTest2, MaterializedStreamsArePinned)
     };
     const std::vector<SpecTarget> &targets = specTargets();
     ASSERT_EQ(targets.size(), std::size(pins));
-    const auto digest = [](const std::vector<PathEvent> &stream) {
-        std::uint64_t h = 1469598103934665603ull;
-        const auto mix = [&h](std::uint64_t v) {
-            h ^= v;
-            h *= 1099511628211ull;
-        };
-        for (const PathEvent &e : stream) {
-            mix(e.path);
-            mix(e.head);
-            mix(e.blocks);
-            mix(e.branches);
-            mix(e.instructions);
-        }
-        return h;
-    };
     for (std::size_t i = 0; i < targets.size(); ++i) {
         ASSERT_EQ(targets[i].name, pins[i].name);
         WorkloadConfig config;
         config.flowScale = 1e-4;
         config.seed = 1'000'003 + i;
         const CalibratedWorkload workload(targets[i], config);
-        EXPECT_EQ(digest(workload.materializeStream(0)), pins[i].salt0)
+        EXPECT_EQ(streamDigest(workload.materializeStream(0)),
+                  pins[i].salt0)
             << pins[i].name << " salt 0";
-        EXPECT_EQ(digest(workload.materializeStream(3)), pins[i].salt3)
+        EXPECT_EQ(streamDigest(workload.materializeStream(3)),
+                  pins[i].salt3)
             << pins[i].name << " salt 3";
+    }
+}
+
+TEST(CalibratedWorkloadTest2, MaterializedStreamsArePinnedAtEveryRunLength)
+{
+    // One FNV-1a digest per mean run length over materializeStream(0)
+    // of all nine benchmarks, recorded with the Fenwick-tree sampler
+    // that drew every burst with log1p. Mean 1 draws no burst length;
+    // at mean 100 about three quarters of the draws fall past the last
+    // BurstLength bound and take the formula.
+    struct Pin
+    {
+        double meanRunLength;
+        std::uint64_t digest;
+    };
+    const Pin pins[] = {
+        {1.0, 0x0cfb5c02065f4a00ull},
+        {1.5, 0xd8edd23fe98169b2ull},
+        {8.0, 0x6854a775fb521746ull},
+        {100.0, 0xfa3575e5533e7ffeull},
+    };
+    const std::vector<SpecTarget> &targets = specTargets();
+    for (const Pin &pin : pins) {
+        std::uint64_t h = 1469598103934665603ull;
+        for (std::size_t i = 0; i < targets.size(); ++i) {
+            WorkloadConfig config;
+            config.flowScale = 1e-4;
+            config.seed = 1'000'003 + i;
+            config.meanRunLength = pin.meanRunLength;
+            const CalibratedWorkload workload(targets[i], config);
+            h = streamDigest(workload.materializeStream(0), h);
+        }
+        EXPECT_EQ(h, pin.digest) << "mean run " << pin.meanRunLength;
+    }
+}
+
+TEST(PrefixCountTreeTest, MatchesALinearPrefixScanWhileLeavesDrain)
+{
+    // Counts 0-3 put zero leaves everywhere from the start; random
+    // leaves then lose a random part of their count until every
+    // leaf is zero. Small trees are checked at every target, the
+    // ijpeg-sized one at random targets.
+    Rng rng(26);
+    for (const std::size_t n : {1, 7, 8, 9, 64, 65, 513, 62125}) {
+        SCOPED_TRACE(n);
+        std::vector<std::uint64_t> counts(n);
+        for (std::uint64_t &c : counts)
+            c = rng.nextBounded(4);
+        counts[n / 2] += 1;
+        PrefixCountTree tree(counts);
+        std::uint64_t total = std::accumulate(
+            counts.begin(), counts.end(), std::uint64_t{0});
+        const bool every_target = n < 1000;
+        const std::size_t drains_per_check =
+            std::max<std::size_t>(1, n / 256);
+        std::vector<std::uint64_t> sums(n);
+        while (total > 0) {
+            // sums[i] = S(i+1); the reference leaf for t is the first
+            // i with t < S(i+1).
+            std::partial_sum(counts.begin(), counts.end(), sums.begin());
+            const auto reference = [&](std::uint64_t t) {
+                return static_cast<std::size_t>(
+                    std::upper_bound(sums.begin(), sums.end(), t) -
+                    sums.begin());
+            };
+            for (std::size_t i = 0; i < n; ++i)
+                ASSERT_EQ(tree.count(i), counts[i]) << "leaf " << i;
+            if (every_target) {
+                std::uint64_t t = 0;
+                for (std::size_t i = 0; i < n; ++i)
+                    for (std::uint64_t k = 0; k < counts[i]; ++k, ++t)
+                        ASSERT_EQ(tree.findPrefix(t), i) << "target " << t;
+            } else {
+                for (int k = 0; k < 64; ++k) {
+                    const std::uint64_t t = rng.nextBounded(total);
+                    ASSERT_EQ(tree.findPrefix(t), reference(t))
+                        << "target " << t;
+                }
+            }
+            for (std::size_t d = 0; d < drains_per_check && total > 0;) {
+                const std::size_t leaf = rng.nextBounded(n);
+                if (counts[leaf] == 0)
+                    continue;
+                const std::uint64_t amount =
+                    1 + rng.nextBounded(counts[leaf]);
+                tree.subtract(leaf, amount);
+                counts[leaf] -= amount;
+                total -= amount;
+                ++d;
+            }
+        }
+    }
+}
+
+TEST(BurstLengthTest, EqualsTheLog1pFormulaEverywhere)
+{
+    EXPECT_TRUE(BurstLength(1.0).fixed());
+    EXPECT_TRUE(BurstLength(0.5).fixed());
+    for (const double mean : {1.5, 4.0, 100.0}) {
+        SCOPED_TRACE(mean);
+        const BurstLength burst(mean);
+        EXPECT_FALSE(burst.fixed());
+        const auto check = [&](double u) {
+            if (!(u >= 0.0 && u < 1.0))
+                return;
+            ASSERT_EQ(burst.fromUniform(u), formulaRunLength(u, mean))
+                << "u " << u;
+        };
+        Rng rng(static_cast<std::uint64_t>(mean * 1000));
+        for (int i = 0; i < 1'000'000; ++i)
+            check(rng.nextDouble());
+        check(0.0);
+        check(std::nextafter(1.0, 0.0));
+
+        // Around every bound, where a rounding slip would show.
+        const double log_keep = std::log1p(-1.0 / mean);
+        const double delta = BurstLength::kGuard;
+        for (std::size_t k = 0; k < BurstLength::kBounds; ++k) {
+            const double bound =
+                -std::expm1(static_cast<double>(k + 1) * log_keep);
+            for (const double u :
+                 {bound, std::nextafter(bound, 0.0),
+                  std::nextafter(bound, 1.0), bound - delta / 2,
+                  bound + delta / 2, bound - 2 * delta,
+                  bound + 2 * delta})
+                check(u);
+        }
     }
 }
 
